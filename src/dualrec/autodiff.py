@@ -12,9 +12,22 @@ scalar weights).  The only other implicit broadcast is the bias add inside
 the convolution ops.  Anything fancier must be spelled out with reshape,
 repeat_axis, or concat, which keeps gradient routing easy to audit.
 
-All ops work in float64 or float32 depending on the dtype of their inputs;
-numerical test suites run in float64, training runs in float32.
+All ops work in float64 or float32 depending on the dtype of their inputs.
+Everything in the package runs in float64 today: ``cascade._stage`` stages
+data in float64 and every module defaults to float64 parameters (nothing in
+the cascade passes another dtype), so training, inference and the numerical
+test suites all run in float64.
+
+Inference that never calls ``backward`` should run under ``no_grad()``.
+Inside that context every op returns a bare Tensor with no parents and no
+backward closure, so intermediate buffers (the im2col matrix of each
+convolution above all) are freed as soon as the op returns.  The values
+computed are identical either way; only the graph is skipped.  The switch
+is process-wide, nests, and is restored on exit even when an exception
+escapes the block.
 """
+
+import contextlib
 
 import numpy as np
 
@@ -178,9 +191,24 @@ def _flow_add(flow, node, g):
         flow[key] = g
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block; restores the previous state on exit."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _make(data, parents, backward):
     out = Tensor(data)
-    if any(p.requires_grad or p._parents for p in parents):
+    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
         out._parents = tuple(parents)
         out._backward = backward
         out.requires_grad = False

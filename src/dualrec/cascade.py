@@ -304,10 +304,11 @@ class Reconstructor:
         if self.stage1 is None or self.golf is None:
             raise StateError("model wants guidance features but the "
                              "checkpoint has no stage-1 model or guidance module")
-        s1 = self.stage1(Tensor(us_image), us_k, mask, t1=_maybe_tensor(t1)).data
-        mags = np.hypot(s1[:, 0], s1[:, 1])
-        mags = np.stack([_normalize_mag(m) for m in mags])[:, None]
-        return self.golf.features(Tensor(mags)).data
+        with ad.no_grad():
+            s1 = self.stage1(Tensor(us_image), us_k, mask, t1=_maybe_tensor(t1)).data
+            mags = np.hypot(s1[:, 0], s1[:, 1])
+            mags = np.stack([_normalize_mag(m) for m in mags])[:, None]
+            return self.golf.features(Tensor(mags)).data
 
     def forward(self, us_image, us_k, mask, t1=None):
         """Cascade output (before any refiner) as [B,2,H,W] tensor."""
@@ -319,17 +320,18 @@ class Reconstructor:
 
     def reconstruct(self, sample, mask):
         """One staged sample -> complex [H,W] reconstruction (refiner
-        applied when present)."""
+        applied when present).  Builds no autodiff graph."""
         us_image = sample["us_image"][None]
         us_k = sample["us_k"][None]
         t1 = sample["t1"][None] if "t1" in sample and \
             self.spec.assists in ("t1", "t1_golf") else None
-        if self.spec.family == "vs_rsn":
-            out = self.model(sample["y"], sample["sens"], mask)
-        else:
-            out = self.forward(us_image, us_k, mask, t1=t1)
-        if self.prn is not None:
-            out = self.prn.refine(out, us_k, mask)
+        with ad.no_grad():
+            if self.spec.family == "vs_rsn":
+                out = self.model(sample["y"], sample["sens"], mask)
+            else:
+                out = self.forward(us_image, us_k, mask, t1=t1)
+            if self.prn is not None:
+                out = self.prn.refine(out, us_k, mask)
         arr = out.data[0]
         return arr[0] + 1j * arr[1]
 
@@ -521,8 +523,9 @@ def _abort(stage, epoch, batch_no, model, last_loss):
 
 def _val_loss(model, spec, staged, val_ids, mask, batch, feats=None):
     total = 0.0
-    for ids in _batched(val_ids, batch):
-        total += float(_loss_for(model, spec, staged, ids, mask, feats).data) * len(ids)
+    with ad.no_grad():
+        for ids in _batched(val_ids, batch):
+            total += float(_loss_for(model, spec, staged, ids, mask, feats).data) * len(ids)
     return total / max(1, len(val_ids))
 
 
@@ -672,7 +675,8 @@ def _train_golf_module(spec, staged, train_ids, val_ids):
         curves["train"].append(total / count)
         xv = np.stack([staged[i]["target_mag"] for i in val_ids])[:, None]
         yv = np.stack([gol_maps[i] for i in val_ids])
-        curves["val"].append(float(mse_loss(module.predict_gol(Tensor(xv)), yv).data))
+        with ad.no_grad():
+            curves["val"].append(float(mse_loss(module.predict_gol(Tensor(xv)), yv).data))
     module.trained = True
     return module, curves
 
@@ -685,9 +689,10 @@ def _stage1_features(stage1_rec, module, staged, ids, mask):
     """Frozen guidance features per sample, computed once from the frozen
     stage-1 reconstructions."""
     feats = {}
-    for i in ids:
-        mag = _normalize_mag(np.abs(stage1_rec.reconstruct(staged[i], mask)))
-        feats[i] = module.features(Tensor(mag[None, None])).data[0]
+    with ad.no_grad():
+        for i in ids:
+            mag = _normalize_mag(np.abs(stage1_rec.reconstruct(staged[i], mask)))
+            feats[i] = module.features(Tensor(mag[None, None])).data[0]
     return feats
 
 
@@ -833,7 +838,8 @@ def train_prn(block, base_rec, dataset, epochs=3, batch=4, seed=0,
                 real = np.stack([staged[i]["target"] for i in c_ids])
                 with_in = np.stack([recon[i] for i in c_ids])
                 us_k = np.stack([staged[i]["us_k"] for i in c_ids])
-                fake = block.refine(Tensor(with_in), us_k, mask).data
+                with ad.no_grad():
+                    fake = block.refine(Tensor(with_in), us_k, mask).data
                 eps = eps_rng.uniform(size=(len(c_ids), 1, 1, 1))
                 inter = eps * real + (1.0 - eps) * fake
                 block.zero_grad()

@@ -338,7 +338,8 @@ class GolfModule(Module):
 def golf_features(module, recon):
     """Guidance features for a reconstruction magnitude [B,1,H,W] (values in
     [0,1]); output [B,feature_depth,H,W].  Pure: no graph is built."""
-    out = module.features(recon if isinstance(recon, Tensor) else Tensor(np.asarray(recon)))
+    with ad.no_grad():
+        out = module.features(recon if isinstance(recon, Tensor) else Tensor(np.asarray(recon)))
     return out.data
 
 
@@ -450,7 +451,8 @@ def critic_score(critic, image):
     single = arr.ndim == 3
     if single:
         arr = arr[None]
-    out = critic(Tensor(arr)).data
+    with ad.no_grad():
+        out = critic(Tensor(arr)).data
     return float(out[0]) if single else out
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ._filters import filter2_same_reflect, gaussian_kernel1d
-from .errors import ContainerError, DimensionError, ParameterError
+from .errors import ConfigError, ContainerError, DimensionError, ParameterError
 from .fidelity import SensitivitySet, sens_combine
 from .fourier import ComplexGrid, fft2c, ifft2c
 from .masks import SamplingMask, make_mask
@@ -51,7 +51,8 @@ class RtcContainer:
     def add(self, name, array):
         if name in self.entries:
             raise ContainerError(f"duplicate entry name {name!r}")
-        array = np.ascontiguousarray(array)
+        # ascontiguousarray promotes 0-d to shape (1,); keep the input's shape
+        array = np.ascontiguousarray(array).reshape(np.shape(array))
         if array.dtype not in _DTYPE_TO_CODE:
             raise ContainerError(f"unsupported dtype {array.dtype} for {name!r}")
         if array.ndim > 255:
@@ -82,7 +83,10 @@ class RtcContainer:
 
     @classmethod
     def read(cls, path):
-        raw = Path(path).read_bytes()
+        try:
+            raw = Path(path).read_bytes()
+        except OSError as exc:
+            raise ContainerError(f"cannot read container {path}: {exc}") from exc
         if raw[:4] != _MAGIC:
             raise ContainerError(f"bad magic in {path}")
         off = 4
@@ -99,7 +103,10 @@ class RtcContainer:
         box = cls()
         for _ in range(count):
             nlen, = struct.unpack("<H", take(2))
-            name = take(nlen).decode()
+            try:
+                name = take(nlen).decode()
+            except UnicodeDecodeError as exc:
+                raise ContainerError(f"entry name is not utf-8 in {path}") from exc
             code, ndim = struct.unpack("<BB", take(2))
             if code not in _CODE_TO_DTYPE:
                 raise ContainerError(f"unknown dtype code {code} in {path}")
@@ -355,17 +362,44 @@ class Dataset:
         return len(self.samples)
 
 
+_MANIFEST_KEYS = ("kind", "size", "accel", "mask_kind", "seed", "files")
+_FILE_KEYS = ("id", "file", "split")
+
+
 def load_dataset(manifest_path):
+    """Read a dataset directory (or its manifest.json) into memory.
+
+    A missing, unreadable or malformed manifest raises ConfigError; a missing
+    or corrupt sample file raises ContainerError.
+    """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read dataset manifest {manifest_path}: {exc}") from exc
+    except ValueError as exc:   # bad JSON or bad utf-8
+        raise ConfigError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"manifest {manifest_path} must be a JSON object")
     if manifest.get("schema") != 1:
         raise ParameterError(f"unsupported manifest schema {manifest.get('schema')!r}")
+    missing = [k for k in _MANIFEST_KEYS if k not in manifest]
+    if missing:
+        raise ConfigError(f"manifest {manifest_path} is missing {missing}")
+    files = manifest["files"]
+    if not isinstance(files, list) or not files or not all(
+            isinstance(f, dict) and all(isinstance(f.get(k), str) for k in _FILE_KEYS)
+            for f in files):
+        raise ConfigError(f"manifest {manifest_path}: 'files' must be a nonempty "
+                          f"list of entries with string keys {list(_FILE_KEYS)}")
     root = manifest_path.parent
     samples = []
-    for f in manifest["files"]:
+    for f in files:
         box = RtcContainer.read(root / f["file"])
+        if "mask" not in box.entries:
+            raise ContainerError(f"sample {root / f['file']} has no 'mask' entry")
         rec = dict(box.entries)
         rec["id"] = f["id"]
         if "bbox" in f:

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from dualrec import autodiff as ad
+from dualrec import cascade as cas
 from dualrec.autodiff import (Adam, OptimizerState, Parameter, Tensor,
                               adam_step, grad_check)
 from dualrec.errors import DimensionError, ParameterError
+from dualrec.fidelity import cmul_const, df_single_t, vs_x_update_t, wab_t
+from dualrec.fourier import fft2_t, ifft2_t
+from dualrec.masks import make_mask
+from dualrec.networks import PrnBlock
+from dualrec.phantoms import gen_coil_maps, load_dataset, make_dataset
 
 SEEDS = list(range(20))
 
@@ -302,3 +308,176 @@ class TestOptimizers:
         p.grad = np.asarray(0.5)
         ad.sgd_step(p, lr=0.1)
         assert abs(float(p.data) - 0.95) < 1e-12
+
+
+# --------------------------------------------------------------------------
+# graph-free inference
+# --------------------------------------------------------------------------
+
+def _tiny_spec(**kw):
+    base = dict(family="dc_rsn", n_b=2, mode="fu_with_us", size=32,
+                ki_hidden=4, ii_base=4, ii_depth=2, fu_hidden=8,
+                seed=5, epochs=1, batch=2, lr=1e-3)
+    base.update(kw)
+    return cas.CascadeSpec(**base)
+
+
+@pytest.fixture(scope="module")
+def tiny_single(tmp_path_factory):
+    root = tmp_path_factory.mktemp("nograd") / "ds"
+    make_dataset("single", 5, 32, 4, "cartesian", seed=2, out_dir=root)
+    ds = load_dataset(root)
+    return ds, cas._stage(ds)
+
+
+@pytest.fixture(scope="module")
+def tiny_multi(tmp_path_factory):
+    root = tmp_path_factory.mktemp("nograd_mc") / "ds"
+    make_dataset("multi", 3, 32, 4, "cartesian", seed=4, n_coils=2, out_dir=root)
+    ds = load_dataset(root)
+    return ds, cas._stage(ds)
+
+
+def _graph_ops(rng):
+    """Every op family once, on Parameters so each would record a node."""
+    x = Parameter(rng.normal(size=(2, 2, 8, 8)))
+    w = Parameter(rng.normal(size=(3, 2, 3, 3)))
+    b = Parameter(rng.normal(size=(3,)))
+    wt = Parameter(rng.normal(size=(3, 2, 2, 2)))
+    s = Parameter(np.asarray(0.7))
+    m = Parameter(rng.normal(size=(4, 4)))
+    mask = make_mask("cartesian", 8, 8, 2, seed=1)
+    sens = gen_coil_maps(8, 8, 2, seed=1)
+    us_k = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    y = rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8))
+    xs = vs_x_update_t(x, sens, mask, y, 3.0, s)
+    return {
+        "add": ad.add(x, x), "sub": ad.sub(x, x), "mul": ad.mul(x, s),
+        "div": ad.div(x, ad.add(s, s)), "neg": ad.neg(x), "exp": ad.exp(x),
+        "log": ad.log(ad.square(x)), "sqrt": ad.sqrt(ad.square(x)),
+        "relu": ad.relu(x), "leaky_relu": ad.leaky_relu(x),
+        "reshape": ad.reshape(x, (2, 128)), "transpose": ad.transpose(x, (1, 0, 2, 3)),
+        "getitem": x[0], "concat": ad.concat([x, x], axis=1),
+        "repeat_axis": ad.repeat_axis(x[:, :1], 2, axis=1), "sum_all": ad.sum_all(x),
+        "mean_all": ad.mean_all(x), "sum_axes": ad.sum_axes(x, (1,)),
+        "mean_axes": ad.mean_axes(x, (2, 3)), "matmul": ad.matmul(m, m),
+        "conv2d": ad.conv2d(x, w, b, padding=1),
+        "conv2d_stride2": ad.conv2d(x, w, b, stride=2, padding=1),
+        "conv_transpose2d": ad.conv_transpose2d(x, w, b),
+        "upconv2x2": ad.upconv2x2(x, wt, b),
+        "maxpool2x2": ad.maxpool2x2(x),
+        "fft2_t": fft2_t(x), "ifft2_t": ifft2_t(x),
+        "cmul_const": cmul_const(x, sens.maps[0].z),
+        "df_single_t": df_single_t(x, us_k, mask),
+        "df_single_t_soft": df_single_t(x, us_k, mask, lam=2.0),
+        "vs_x_update_t": xs[0],
+        "wab_t": wab_t(x, xs, sens, s, s),
+    }
+
+
+@pytest.fixture
+def graph_nodes(monkeypatch):
+    """Count of graph nodes (outputs with parents) built since the fixture
+    was set up; read it with graph_nodes[0]."""
+    count = [0]
+    orig = ad._make
+
+    def make(data, parents, backward):
+        out = orig(data, parents, backward)
+        count[0] += bool(out._parents)
+        return out
+
+    monkeypatch.setattr(ad, "_make", make)
+    return count
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self):
+        with_graph = _graph_ops(np.random.default_rng(0))
+        assert all(t._parents and t._backward is not None
+                   for t in with_graph.values())
+        with ad.no_grad():
+            bare = _graph_ops(np.random.default_rng(0))
+        assert set(bare) == set(with_graph)
+        for name, t in bare.items():
+            assert t._parents == () and t._backward is None, name
+            assert not t.requires_grad, name
+            assert np.array_equal(t.data, with_graph[name].data), name
+
+    def test_nesting_restores_outer_state(self):
+        assert ad._grad_enabled
+        with ad.no_grad():
+            assert not ad._grad_enabled
+            with ad.no_grad():
+                assert not ad._grad_enabled
+            assert not ad._grad_enabled
+        assert ad._grad_enabled
+
+    def test_exception_restores_state(self):
+        with pytest.raises(DimensionError):
+            with ad.no_grad():
+                with ad.no_grad():
+                    ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+        assert ad._grad_enabled
+        x = Parameter(np.asarray(2.0))
+        ad.mul(x, x).backward()
+        assert float(x.grad) == 4.0
+
+    def test_training_step_after_inference_fills_grads(self, tiny_single):
+        ds, staged = tiny_single
+        spec = _tiny_spec()
+        model = cas.build_model(spec, np.random.default_rng(spec.seed))
+        cas.Reconstructor(spec, model).reconstruct(staged[0], ds.mask)
+        assert all(p.grad is None for p in model.parameters())
+        loss = cas._loss_for(model, spec, staged, [0, 1], ds.mask)
+        assert loss._parents
+        loss.backward()
+        assert all(p.grad is not None for p in model.parameters())
+        assert any(np.any(p.grad != 0) for p in model.parameters())
+
+    def test_reconstruct_matches_graph_forward_bitwise(self, tiny_single,
+                                                       graph_nodes):
+        ds, staged = tiny_single
+        spec = _tiny_spec()
+        model = cas.build_model(spec, np.random.default_rng(spec.seed))
+        prn = PrnBlock(hidden=4, critic_base=4, rng=np.random.default_rng(1))
+        # perturb the zero-initialized last conv so the refiner is not a no-op
+        prn.c5.w.data[...] = np.random.default_rng(2).normal(
+            scale=0.1, size=prn.c5.w.shape)
+        rec = cas.Reconstructor(spec, model, prn=prn)
+        for s in staged:
+            out = model(Tensor(s["us_image"][None]), s["us_k"][None], ds.mask)
+            out = prn.refine(out, s["us_k"][None], ds.mask)
+            assert out._parents
+            want = out.data[0, 0] + 1j * out.data[0, 1]
+            before = graph_nodes[0]
+            assert np.array_equal(rec.reconstruct(s, ds.mask), want)
+            assert graph_nodes[0] == before
+
+    def test_vs_rsn_reconstruct_matches_graph_forward_bitwise(self, tiny_multi,
+                                                              graph_nodes):
+        ds, staged = tiny_multi
+        spec = _tiny_spec(family="vs_rsn", n_b=2, mode="ki_then_ii")
+        model = cas.build_model(spec, np.random.default_rng(spec.seed))
+        rec = cas.Reconstructor(spec, model)
+        for s in staged:
+            out = model(s["y"], s["sens"], ds.mask)
+            assert out._parents
+            want = out.data[0, 0] + 1j * out.data[0, 1]
+            before = graph_nodes[0]
+            assert np.array_equal(rec.reconstruct(s, ds.mask), want)
+            assert graph_nodes[0] == before
+
+    def test_val_loss_matches_graph_forward_bitwise(self, tiny_single, graph_nodes):
+        ds, staged = tiny_single
+        spec = _tiny_spec()
+        model = cas.build_model(spec, np.random.default_rng(spec.seed))
+        ids = list(range(len(staged)))
+        total = 0.0
+        for batch in cas._batched(ids, 2):
+            loss = cas._loss_for(model, spec, staged, batch, ds.mask)
+            assert loss._parents
+            total += float(loss.data) * len(batch)
+        before = graph_nodes[0]
+        assert cas._val_loss(model, spec, staged, ids, ds.mask, 2) == total / len(ids)
+        assert graph_nodes[0] == before

@@ -310,6 +310,21 @@ class TestTrain:
         mag = np.abs(rec.reconstruct(cas._stage(ds_multi)[0], ds_multi.mask))
         assert mag.shape == (32, 32)
 
+    def test_multi_coil_checkpoint_reloads_bit_exact(self, ds_multi, tmp_path):
+        spec = small_spec(family="vs_rsn", epochs=1, seed=4)
+        rep = cas.train(spec, ds_multi, out_dir=tmp_path)
+        rec = cas.load_checkpoint(rep.checkpoint)
+        want = dict(rep.model.model.named_parameters())
+        got = dict(rec.model.named_parameters())
+        assert want["w0_log_alpha"].shape == got["w0_log_alpha"].shape == ()
+        for name, p in want.items():
+            assert got[name].data.tobytes() == p.data.tobytes(), name
+        staged = cas._stage(ds_multi)
+        for i in range(len(staged)):
+            a = rep.model.reconstruct(staged[i], ds_multi.mask)
+            b = rec.reconstruct(staged[i], ds_multi.mask)
+            assert np.array_equal(a, b)
+
 
 @pytest.fixture(scope="module")
 def golf_report(ds_single, tmp_path_factory):

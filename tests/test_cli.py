@@ -169,6 +169,23 @@ class TestTrainCmd:
         bad.write_text("{nope")
         assert main(["train", "--config", str(bad)]) == 2
 
+    def test_missing_dataset_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", spec_dict(),
+                           tmp_path / "no_such_dataset", tmp_path / "out")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "manifest" in capsys.readouterr().err
+
+    def test_manifest_without_files_exits_2(self, ds_dir, tmp_path, capsys):
+        manifest = json.loads((ds_dir / "manifest.json").read_text())
+        manifest.pop("files")
+        bad = tmp_path / "ds"
+        bad.mkdir()
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        cfg = write_config(tmp_path / "cfg.json", spec_dict(), bad,
+                           tmp_path / "out")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "files" in capsys.readouterr().err
+
     def test_golf_requires_stage1_checkpoint(self, ds_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json",
                            spec_dict(assists="golf", epochs=1),
@@ -256,6 +273,12 @@ class TestReconstructCmd:
         assert main(["reconstruct", "--checkpoint",
                      str(run_dir / "checkpoint.rtc"), "--dataset",
                      str(ds_multi_dir), "--out", "/tmp/unused"]) == 2
+
+    def test_missing_dataset_exits_2(self, run_dir, tmp_path):
+        assert main(["reconstruct", "--checkpoint",
+                     str(run_dir / "checkpoint.rtc"), "--dataset",
+                     str(tmp_path / "no_such_dataset"),
+                     "--out", str(tmp_path / "out")]) == 2
 
     def test_all_split_covers_every_sample(self, run_dir, ds_dir, tmp_path):
         out = tmp_path / "all"

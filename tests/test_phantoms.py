@@ -1,12 +1,14 @@
 """Container round-trips, phantom generator properties, coil maps, paired
 contrast generation, and dataset self-consistency."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import oracle_ifft2
 from dualrec import phantoms as ph
-from dualrec.errors import ContainerError, ParameterError
+from dualrec.errors import ConfigError, ContainerError, ParameterError
 from dualrec.masks import make_cartesian
 
 SEEDS = list(range(20))
@@ -70,6 +72,29 @@ class TestRtcContainer:
         p.write_bytes(p.read_bytes() + b"xx")
         with pytest.raises(ContainerError):
             ph.RtcContainer.read(p)
+
+
+    def test_zero_d_entry_keeps_its_shape(self, tmp_path):
+        box = ph.RtcContainer()
+        box.add("scalar", np.asarray(-0.5))
+        assert box.entries["scalar"].shape == ()
+        box.write(tmp_path / "s.rtc")
+        back = ph.RtcContainer.read(tmp_path / "s.rtc").entries["scalar"]
+        assert back.shape == () and back.tobytes() == np.asarray(-0.5).tobytes()
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ContainerError):
+            ph.RtcContainer.read(tmp_path / "absent.rtc")
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        box = ph.RtcContainer()
+        box.add("ab", np.zeros(2))
+        box.write(tmp_path / "n.rtc")
+        raw = bytearray((tmp_path / "n.rtc").read_bytes())
+        raw[10:12] = b"\xff\xfe"   # the two name bytes after magic, count, length
+        (tmp_path / "n.rtc").write_bytes(bytes(raw))
+        with pytest.raises(ContainerError):
+            ph.RtcContainer.read(tmp_path / "n.rtc")
 
 
 class TestGenPhantom:
@@ -199,6 +224,75 @@ class TestDatasets:
     def test_bad_kind_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
             ph.make_dataset("volume", 2, 32, 4.0, "cartesian", 0, tmp_path)
+
+
+@pytest.fixture
+def small_ds(tmp_path):
+    root = tmp_path / "ds"
+    ph.make_dataset("single", 2, 32, 4, "cartesian", seed=0, out_dir=root)
+    return root
+
+
+def _rewrite_manifest(root, mutate):
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text())
+    mutate(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+class TestLoadDatasetFaults:
+    def test_missing_directory(self, tmp_path):
+        with pytest.raises(ConfigError):
+            ph.load_dataset(tmp_path / "nowhere")
+
+    def test_missing_manifest(self, small_ds):
+        (small_ds / "manifest.json").unlink()
+        with pytest.raises(ConfigError):
+            ph.load_dataset(small_ds)
+
+    @pytest.mark.parametrize("text", ["{nope", "[1, 2]", "\"files\""])
+    def test_malformed_manifest(self, small_ds, text):
+        (small_ds / "manifest.json").write_text(text)
+        with pytest.raises(ConfigError):
+            ph.load_dataset(small_ds)
+
+    def test_non_utf8_manifest(self, small_ds):
+        (small_ds / "manifest.json").write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError):
+            ph.load_dataset(small_ds)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda m: m.pop("files"),
+        lambda m: m.pop("kind"),
+        lambda m: m.update(files=[]),
+        lambda m: m.update(files="sample_0000.rtc"),
+        lambda m: m["files"][0].pop("file"),
+        lambda m: m["files"][1].pop("split"),
+        lambda m: m["files"][0].update(file=3),
+    ])
+    def test_manifest_schema_faults(self, small_ds, mutate):
+        _rewrite_manifest(small_ds, mutate)
+        with pytest.raises(ConfigError):
+            ph.load_dataset(small_ds)
+
+    def test_missing_sample_file(self, small_ds):
+        (small_ds / "sample_0001.rtc").unlink()
+        with pytest.raises(ContainerError):
+            ph.load_dataset(small_ds)
+
+    def test_sample_without_mask(self, small_ds):
+        path = small_ds / "sample_0000.rtc"
+        box = ph.RtcContainer.read(path)
+        del box.entries["mask"]
+        box.write(path)
+        with pytest.raises(ContainerError):
+            ph.load_dataset(small_ds)
+
+    def test_truncated_sample_file(self, small_ds):
+        path = small_ds / "sample_0000.rtc"
+        path.write_bytes(path.read_bytes()[:50])
+        with pytest.raises(ContainerError):
+            ph.load_dataset(small_ds / "manifest.json")
 
 
 class TestMaskFiles:
