@@ -18,13 +18,21 @@ data in float64 and every module defaults to float64 parameters (nothing in
 the cascade passes another dtype), so training, inference and the numerical
 test suites all run in float64.
 
+A graph keeps each op's parents plus what its backward closure holds.  A
+stride-1 ``conv2d`` (every convolution of the reconstruction networks)
+holds nothing beyond its input, a parent already: forward and both
+gradients are kh*kw shifted GEMMs over a zero-padded copy of the input,
+rebuilt in backward.  A strided ``conv2d`` (the critic) keeps its im2col
+patch matrix, kh*kw times its input, until backward.
+``conv_transpose2d``/``upconv2x2`` keep nothing extra and build a patch
+matrix of the incoming gradient during backward.
+
 Inference that never calls ``backward`` should run under ``no_grad()``.
 Inside that context every op returns a bare Tensor with no parents and no
-backward closure, so intermediate buffers (the im2col matrix of each
-convolution above all) are freed as soon as the op returns.  The values
-computed are identical either way; only the graph is skipped.  The switch
-is process-wide, nests, and is restored on exit even when an exception
-escapes the block.
+backward closure, so intermediate buffers are freed as soon as the op
+returns.  The values computed are identical either way; only the graph is
+skipped.  The switch is process-wide, nests, and is restored on exit even
+when an exception escapes the block.
 """
 
 import contextlib
@@ -480,7 +488,53 @@ def matmul(a, b):
     return _make(np.matmul(a.data, b.data), (a, b), backward)
 
 
-# -- spatial ops (im2col based) -----------------------------------------
+# -- spatial ops ----------------------------------------------------------
+# A stride-1 conv2d keeps no buffer for backward: it runs as shifted GEMMs
+# over the padded input.  Strided conv2d keeps its im2col ``cols``; the
+# transposed convs build theirs from the incoming gradient in backward.
+
+def _pad_flat(x, padding, kw):
+    """[B,C,H,W] -> zero-padded [B, C, Hp*Wp + kw-1], Hp, Wp.  Tap (u,v) of a
+    stride-1 kernel is then the window [s, s + Ho*Wp) with s = u*Wp + v; the
+    last Wp-Wo columns of each window row are junk."""
+    b, c, h, w = x.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    xf = np.zeros((b, c, hp * wp + kw - 1), dtype=x.dtype)
+    xf[:, :, :hp * wp].reshape(b, c, hp, wp)[:, :, padding:padding + h, padding:padding + w] = x
+    return xf, hp, wp
+
+
+def _conv_s1_forward(x, w, padding):
+    f, _, kh, kw = w.shape
+    xf, hp, wp = _pad_flat(x, padding, kw)
+    ho = hp - kh + 1
+    taps = [(w[:, :, u, v], u * wp + v) for u, v in np.ndindex(kh, kw)]
+    y = np.matmul(taps[0][0], xf[:, :, :ho * wp])
+    tmp = np.empty_like(y)
+    for w_uv, s in taps[1:]:
+        y += np.matmul(w_uv, xf[:, :, s:s + ho * wp], out=tmp)
+    return y.reshape(-1, f, ho, wp)[..., :wp - kw + 1]
+
+
+def _conv_s1_backward(g, x, w, padding):
+    """(dx, dw) of the stride-1 conv2d, from x rather than a patch matrix."""
+    b, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    xf, hp, wp = _pad_flat(x, padding, kw)
+    g_pad = np.zeros(g.shape[:3] + (wp,), dtype=g.dtype)
+    g_pad[..., :g.shape[3]] = g
+    g_pad = g_pad.reshape(b, f, -1)
+    n = g_pad.shape[2]
+    dw = np.empty(w.shape, dtype=g.dtype)
+    dxf = np.zeros_like(xf)
+    tmp = np.empty((b, c, n), dtype=g.dtype)
+    for u, v in np.ndindex(kh, kw):
+        s = u * wp + v
+        dw[:, :, u, v] = np.matmul(g_pad, xf[:, :, s:s + n].transpose(0, 2, 1)).sum(axis=0)
+        dxf[:, :, s:s + n] += np.matmul(w[:, :, u, v].T, g_pad, out=tmp)
+    dx = dxf[:, :, :hp * wp].reshape(b, c, hp, wp)[:, :, padding:padding + h, padding:padding + wd]
+    return dx, dw
+
 
 def _im2col(x, kh, kw, stride, padding):
     """[B,C,H,W] -> [B, C*kh*kw, Ho*Wo] patch matrix."""
@@ -510,14 +564,6 @@ def _col2im(cols, x_shape, kh, kw, stride, padding, ho, wo):
     if padding:
         out = out[:, :, padding:hp - padding, padding:wp - padding]
     return out
-
-
-def _conv_forward_raw(x, w, stride, padding):
-    b = x.shape[0]
-    f, c, kh, kw = w.shape
-    cols, ho, wo = _im2col(x, kh, kw, stride, padding)
-    y = np.matmul(w.reshape(f, c * kh * kw), cols)
-    return y.reshape(b, f, ho, wo), cols, ho, wo
 
 
 def _conv_dx_raw(g, w, x_shape, stride, padding, ho, wo):
@@ -555,14 +601,24 @@ def conv2d(x, w, b=None, stride=1, padding=0):
         if b.shape != (f,):
             raise DimensionError(f"conv2d bias shape {b.shape} != ({f},)")
 
-    y, cols, ho, wo = _conv_forward_raw(x.data, w.data, stride, padding)
-    if b is not None:
-        y = y + b.data.reshape(1, f, 1, 1)
-    x_shape = x.shape
+    if stride == 1:
+        y = _conv_s1_forward(x.data, w.data, padding)
+
+        def grads(g):
+            return _conv_s1_backward(g, x.data, w.data, padding)
+    else:
+        cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
+        y = np.matmul(w.data.reshape(f, -1), cols).reshape(x.shape[0], f, ho, wo)
+
+        def grads(g):
+            return (_conv_dx_raw(g, w.data, x.shape, stride, padding, ho, wo),
+                    _conv_dw_raw(g, cols, w.shape, ho, wo))
+    y = y + b.data.reshape(1, f, 1, 1) if b is not None else np.ascontiguousarray(y)
 
     def backward(g, flow):
-        _flow_add(flow, w, _conv_dw_raw(g, cols, w.shape, ho, wo))
-        _flow_add(flow, x, _conv_dx_raw(g, w.data, x_shape, stride, padding, ho, wo))
+        dx, dw = grads(g)
+        _flow_add(flow, w, dw)
+        _flow_add(flow, x, dx)
         if b is not None:
             _flow_add(flow, b, g.sum(axis=(0, 2, 3)))
 

@@ -23,8 +23,6 @@ module, refiner) so a checkpoint is always self-sufficient.
 """
 
 import math
-import queue
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -33,7 +31,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DimensionError, ParameterError, StateError, TrainAbortError
+from .errors import (ConfigError, ContainerError, DimensionError, ParameterError,
+                     StateError, TrainAbortError)
 from .fidelity import (FidelityWeights, SensitivitySet, df_single_t,
                        sens_combine, vs_x_update_t, wab_t)
 from .fourier import ComplexGrid, fft2_t
@@ -222,9 +221,15 @@ class VsRsn(Module):
 
 def _stage(dataset):
     """Convert stored float32 sample arrays to the float64 forms training
-    uses; one dict per sample."""
+    uses; one dict per sample.  A sample missing an array its dataset kind
+    needs raises ContainerError."""
+    need = ("target", "us_kspace", "us_image") + (
+        ("coil_kspace", "sens") if dataset.kind == "multi" else ())
     out = []
     for rec in dataset.samples:
+        missing = [k for k in need if k not in rec]
+        if missing:
+            raise ContainerError(f"sample {rec['id']!r} has no {', '.join(missing)} entry")
         s = {"id": rec["id"]}
         usk = rec["us_kspace"].astype(np.float64)
         s["us_k"] = usk[0] + 1j * usk[1]
@@ -905,50 +910,3 @@ def train_prn(block, base_rec, dataset, epochs=3, batch=4, seed=0,
                "vif_refined": refined_metrics.mean("vif")},
         model=refined_rec)
 
-
-# -- prefetching ---------------------------------------------------------
-
-class PrefetchLoader:
-    """Iterate a source on a producer thread through a bounded FIFO queue.
-
-    Order is preserved; the producer blocks when the queue holds ``capacity``
-    items and the consumer blocks when it is empty.  Exceptions raised by the
-    source re-raise in the consumer.
-    """
-
-    def __init__(self, source, capacity=4):
-        if capacity < 1:
-            raise ParameterError(f"capacity must be >= 1, got {capacity}")
-        self._source = source
-        self.capacity = capacity
-
-    def __iter__(self):
-        q = queue.Queue(maxsize=self.capacity)
-        done = object()
-
-        def produce():
-            try:
-                for item in self._source:
-                    q.put(("item", item))
-            except Exception as exc:  # forwarded, not swallowed
-                q.put(("error", exc))
-            else:
-                q.put(("done", done))
-
-        worker = threading.Thread(target=produce, daemon=True)
-        worker.start()
-        while True:
-            kind, payload = q.get()
-            if kind == "error":
-                worker.join()
-                raise payload
-            if kind == "done":
-                worker.join()
-                return
-            yield payload
-
-
-def baseline_psnr_gain(report, dataset):
-    """Convenience: trained val PSNR minus the zero-filled baseline's."""
-    zf = zero_filled_report(dataset)
-    return report.final_psnr - zf.mean("psnr_db")

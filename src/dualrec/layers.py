@@ -70,14 +70,6 @@ class Module:
                         f"param {name}: checkpoint shape {arr.shape} != model {own[name].shape}")
                 own[name].data = np.array(arr, dtype=own[name].dtype)
 
-    def astype(self, dtype):
-        for p in self.parameters():
-            p.data = p.data.astype(dtype)
-        return self
-
-    def num_parameters(self):
-        return sum(p.size for p in self.parameters())
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 

@@ -127,9 +127,6 @@ class SamplingMask:
     def fraction(self):
         return float(self.bits.sum()) / self.bits.size
 
-    def as_float(self, dtype=np.float64):
-        return self.bits.astype(dtype)
-
 
 def _validate_common(h, w, accel):
     if h < 2 or w < 2:

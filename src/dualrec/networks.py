@@ -387,10 +387,6 @@ class PrnBlock(Module):
         return df_single_t(self.re_net(recon), us_kspace, mask)
 
 
-def prn_refine(block, recon, us_kspace, mask):
-    return block.refine(recon, us_kspace, mask)
-
-
 class Critic(Module):
     """Four stride-2 convolutions (LeakyReLU 0.2 between) and a global
     average: image -> unbounded scalar score per batch item."""

@@ -468,16 +468,25 @@ def test_criterion_09_refiner_direction(verdict, toy_b, mode_runs):
     rep = cas.train_prn(block, mode_runs["fu_with_us"].model, toy_b,
                         epochs=2, batch=4, seed=41, critic_steps=2)
     staged = cas._stage(toy_b)
+    base = mode_runs["fu_with_us"].model
     worst = 0.0
+    moved_sq = 0.0
     for i in toy_b.indices("val"):
         out = rep.model.reconstruct(staged[i], toy_b.mask)
         worst = max(worst, np.abs(
             fft2c(out)[toy_b.mask.bits] -
             staged[i]["us_k"][toy_b.mask.bits]).max())
+        moved_sq += float(np.sum(np.abs(out - base.reconstruct(staged[i], toy_b.mask)) ** 2))
+    moved = float(np.sqrt(moved_sq))
+    d_vif = rep.extra["vif_refined"] - rep.extra["vif_base"]
     ok = rep.extra["vif_refined"] >= rep.extra["vif_base"] and worst < 1e-10
     verdict(9, "refiner direction", ok,
             f"vif {rep.extra['vif_refined']:.4f} vs base "
-            f"{rep.extra['vif_base']:.4f}, consistency {worst:.1e}")
+            f"{rep.extra['vif_base']:.4f} (delta {d_vif!r}), "
+            f"residual norm {moved:.3e}, consistency {worst:.1e}")
+    # the >= above also holds for a refiner that never left its zero init
+    assert moved > 0.0, ("train_prn fault: the refined reconstructions equal "
+                         "the base ones on every validation slice")
 
 
 def _ssim_oracle(x, ref):

@@ -1,8 +1,12 @@
 """Engine tests: loop-nest oracles for the spatial ops, finite differences
 for every backward rule, and closed-form optimizer checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrec import autodiff as ad
 from dualrec import cascade as cas
@@ -234,6 +238,78 @@ class TestBackward:
             return ad.add(ad.sum_all(m), ad.mul(s, s))
 
         _fd_check(loss, {"x": x, "s": s})
+
+
+# --------------------------------------------------------------------------
+# stride-1 conv2d: shifted GEMMs over the padded input, no patch matrix
+# --------------------------------------------------------------------------
+
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def conv_cases(draw, strides=(1,)):
+    """(x, w, b, stride, padding) with odd kernels up to 5 and any H x W the
+    kernel fits in."""
+    kh, kw = draw(st.sampled_from((1, 3, 5))), draw(st.sampled_from((1, 3, 5)))
+    padding = draw(st.integers(0, 3))
+    h = draw(st.integers(max(1, kh - 2 * padding), 9))
+    w = draw(st.integers(max(1, kw - 2 * padding), 9))
+    bs, c, f = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return (rng.normal(size=(bs, c, h, w)), rng.normal(size=(f, c, kh, kw)),
+            rng.normal(size=f), draw(st.sampled_from(strides)), padding)
+
+
+class TestStride1Conv:
+    @pytest.mark.parametrize("hw", [(5, 7), (6, 5)])
+    @pytest.mark.parametrize("k,padding", [(1, 0), (3, 0), (3, 1), (5, 0), (5, 1), (5, 2)])
+    def test_grads(self, k, padding, hw):
+        rng = np.random.default_rng(10 * k + padding)
+        x = Tensor(rng.normal(size=(2, 2) + hw), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, k, k)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        # a random cotangent keeps every entry of dx well above the FD noise,
+        # border pixels that only one tap reaches included
+        r = Tensor(rng.normal(size=ad.conv2d(x, w, b, padding=padding).shape))
+        _fd_check(lambda: ad.sum_all(ad.mul(ad.conv2d(x, w, b, padding=padding), r)),
+                  {"x": x, "w": w, "b": b})
+
+    @_PROPERTY
+    @given(conv_cases())
+    def test_forward_matches_loops(self, case):
+        x, w, b, stride, padding = case
+        got = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
+        assert np.max(np.abs(got.data - conv2d_loops(x, w, b, stride, padding))) < 1e-12
+
+    @_PROPERTY
+    @given(conv_cases(strides=(1, 2)))
+    def test_adjoint_of_conv_transpose(self, case):
+        # <conv2d(x, w), y> == <x, conv_transpose2d(y, w)>, the transposed conv
+        # mapping the F output channels back to the C input channels
+        x, w, _, stride, padding = case
+        cx = ad.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
+        y = np.random.default_rng(0).normal(size=cx.shape)
+        ty = ad.conv_transpose2d(Tensor(y), Tensor(w.transpose(1, 0, 2, 3)), stride=stride,
+                                 padding=padding, output_size=x.shape[2:]).data
+        lhs, rhs = float(np.sum(cx * y)), float(np.sum(x * ty))
+        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+    def test_backward_keeps_no_patch_matrix(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(4, 32, 64, 64)), requires_grad=True)
+        w = Parameter(rng.normal(size=(32, 32, 3, 3)))
+        b = Parameter(rng.normal(size=32))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = ad.conv2d(x, w, b, padding=1)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert y._backward is not None
+        # the output plus small buffers; a kept im2col matrix would add 9x x
+        assert kept < 2 * (x.data.nbytes + y.data.nbytes), kept
 
 
 class TestGraphSemantics:

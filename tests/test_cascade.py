@@ -1,19 +1,18 @@
-"""Cascade models, training loops, checkpoints, and the prefetch loader."""
+"""Cascade models, training loops and checkpoints."""
 
 import json
-import time
 
 import numpy as np
 import pytest
 
 from dualrec import cascade as cas
 from dualrec.autodiff import Tensor
-from dualrec.errors import (ConfigError, DimensionError, ParameterError,
-                            StateError, TrainAbortError)
+from dualrec.errors import (ConfigError, ContainerError, DimensionError,
+                            ParameterError, StateError, TrainAbortError)
 from dualrec.fidelity import SensitivitySet
 from dualrec.fourier import ComplexGrid, fft2c, ifft2c
 from dualrec.masks import SamplingMask, apply_mask, make_mask
-from dualrec.phantoms import (PhantomSpec, gen_coil_maps, gen_phantom,
+from dualrec.phantoms import (Dataset, PhantomSpec, gen_coil_maps, gen_phantom,
                               load_dataset, make_dataset)
 
 
@@ -310,6 +309,15 @@ class TestTrain:
         mag = np.abs(rec.reconstruct(cas._stage(ds_multi)[0], ds_multi.mask))
         assert mag.shape == (32, 32)
 
+    @pytest.mark.parametrize("entry", ["target", "us_kspace", "us_image",
+                                       "coil_kspace", "sens"])
+    def test_sample_without_array_raises_container_error(self, ds_multi, entry):
+        samples = [dict(rec) for rec in ds_multi.samples]
+        del samples[1][entry]
+        bad = Dataset(ds_multi.manifest, samples, ds_multi.root)
+        with pytest.raises(ContainerError, match=entry):
+            cas._stage(bad)
+
     def test_multi_coil_checkpoint_reloads_bit_exact(self, ds_multi, tmp_path):
         spec = small_spec(family="vs_rsn", epochs=1, seed=4)
         rep = cas.train(spec, ds_multi, out_dir=tmp_path)
@@ -489,47 +497,3 @@ class TestShiftAugmentation:
         with pytest.raises(ParameterError):
             cas.t1_shift_metric_sweep(None, ds_paired, max_shift=30)
 
-
-class TestPrefetchLoader:
-    def test_order_preserved(self):
-        items = list(range(100))
-        out = list(cas.PrefetchLoader(items, capacity=3))
-        assert out == items
-
-    def test_bounded_readahead(self):
-        produced = []
-
-        def source():
-            for i in range(50):
-                produced.append(i)
-                yield i
-
-        loader = cas.PrefetchLoader(source(), capacity=2)
-        it = iter(loader)
-        first = next(it)
-        assert first == 0
-        time.sleep(0.1)
-        # 1 yielded + up to `capacity` queued + 1 blocked inside put
-        assert len(produced) <= 1 + 2 + 1
-        assert list(it) == list(range(1, 50))
-
-    def test_slow_producer_blocks_consumer(self):
-        def source():
-            for i in range(5):
-                time.sleep(0.01)
-                yield i
-
-        assert list(cas.PrefetchLoader(source(), capacity=2)) == list(range(5))
-
-    def test_producer_errors_propagate(self):
-        def source():
-            yield 1
-            raise ValueError("bad sample")
-
-        loader = cas.PrefetchLoader(source(), capacity=2)
-        with pytest.raises(ValueError, match="bad sample"):
-            list(loader)
-
-    def test_capacity_validated(self):
-        with pytest.raises(ParameterError):
-            cas.PrefetchLoader([], capacity=0)

@@ -186,6 +186,22 @@ class TestTrainCmd:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "files" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["target", "us_kspace", "us_image"])
+    def test_sample_without_array_exits_2(self, ds_dir, tmp_path, capsys, entry):
+        bad = tmp_path / "ds"
+        bad.mkdir()
+        manifest = json.loads((ds_dir / "manifest.json").read_text())
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        for f in manifest["files"]:
+            box = RtcContainer.read(ds_dir / f["file"])
+            if f is manifest["files"][0]:
+                box.entries.pop(entry)
+            box.write(bad / f["file"])
+        cfg = write_config(tmp_path / "cfg.json", spec_dict(), bad,
+                           tmp_path / "out")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert entry in capsys.readouterr().err
+
     def test_golf_requires_stage1_checkpoint(self, ds_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json",
                            spec_dict(assists="golf", epochs=1),
