@@ -35,7 +35,7 @@ from .errors import (ConfigError, ContainerError, DimensionError, ParameterError
                      StateError, TrainAbortError)
 from .fidelity import (FidelityWeights, SensitivitySet, df_single_t,
                        sens_combine, vs_x_update_t, wab_t)
-from .fourier import ComplexGrid, fft2_t
+from .fourier import ComplexGrid, complex_to_channels_array, fft2_t
 from .layers import Module, global_grad_norm, mse_loss
 from .metrics import MetricReport, compare
 from .networks import (RSN_MODES, GolfModule, PrnBlock, RsnBlock, gol,
@@ -129,10 +129,6 @@ class CascadeSpec:
         return spec
 
 
-def _to_channels(z):
-    return np.stack([np.asarray(z).real, np.asarray(z).imag], axis=-3)
-
-
 class DcRsn(Module):
     """n_b independent blocks alternated with spectrum blending."""
 
@@ -161,7 +157,7 @@ class DcRsn(Module):
         us_k = np.asarray(us_k)
         if us_k.ndim == 2:
             us_k = us_k[None]
-        k_t = Tensor(_to_channels(us_k))
+        k_t = Tensor(complex_to_channels_array(us_k))
         for block in self._blocks:
             r = block(m, k_t, t1=t1, golf=golf)
             m = df_single_t(r, us_k, mask, self.lam)
@@ -205,7 +201,7 @@ class VsRsn(Module):
                 sens_combine([ComplexGrid.from_complex(y[b, i], "kspace")
                               for i in range(y.shape[1])], sens, mask).z
                 for b in range(y.shape[0])])
-        m = Tensor(_to_channels(m0))
+        m = Tensor(complex_to_channels_array(m0))
         x_list = None
         for block, fw in zip(self._blocks, self._weights):
             u = block(m, fft2_t(m))
@@ -602,6 +598,47 @@ def zero_filled_report(dataset, split="val"):
     return report
 
 
+def _fit_and_report(spec, staged, mask, train_ids, val_ids, t0, out_dir,
+                    feats=None, stage1=None, golf=None, extra=None,
+                    stage1_report=None):
+    """The tail shared by train and train_two_stage_golf.  Fits a fresh model;
+    if the train loss rises during the first three epochs, halves the
+    learning rate and restarts once.  Keeps the best-validation weights,
+    scores them, writes the checkpoint when out_dir is given, and returns the
+    TrainReport, whose ``extra`` holds init_val_loss and then ``extra``."""
+
+    def run(lr):
+        model = build_model(spec, np.random.default_rng(spec.seed))
+        shift_rng = np.random.default_rng((spec.seed, 555)) if spec.t1_shift else None
+        return model, _fit(model, spec, staged, mask, lr, train_ids, val_ids,
+                           feats=feats, shift_rng=shift_rng)
+
+    lr_used, retried = spec.lr, False
+    model, result = run(lr_used)
+    if _train_loss_increased_early(result[0]):
+        lr_used, retried = spec.lr / 2.0, True
+        model, result = run(lr_used)
+    train_losses, val_losses, best_state, best_epoch, best_val, init_val = result
+    model.load_state_dict(best_state)
+    rec = Reconstructor(spec, model, stage1=stage1, golf=golf)
+    metrics = _final_metrics(rec, staged, val_ids, mask)
+    ckpt = None
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        ckpt = save_checkpoint(out / "checkpoint.rtc", rec,
+                               meta={"best_epoch": best_epoch, "best_val": best_val})
+    return TrainReport(
+        family=spec.family, assists=spec.assists, epochs_run=spec.epochs,
+        train_loss=train_losses, val_loss=val_losses, best_epoch=best_epoch,
+        best_val_loss=best_val, final_psnr=metrics.mean("psnr_db"),
+        final_ssim=metrics.mean("ssim"), final_vif=metrics.mean("vif"),
+        wall_seconds=time.perf_counter() - t0, lr_used=lr_used,
+        retried=retried, checkpoint=ckpt,
+        extra={"init_val_loss": init_val, **(extra or {})}, model=rec,
+        stage1=stage1_report)
+
+
 def train(spec, dataset, out_dir=None):
     """MSE training of one cascade.  Deterministic in spec.seed; halves the
     learning rate and restarts once if the train loss rises during the first
@@ -617,37 +654,8 @@ def train(spec, dataset, out_dir=None):
     val_ids = dataset.indices("val")
     if not train_ids or not val_ids:
         raise ConfigError("dataset needs nonempty train and val splits")
-    mask = dataset.mask
-
-    lr_used, retried = spec.lr, False
-    model = build_model(spec, np.random.default_rng(spec.seed))
-    shift_rng = np.random.default_rng((spec.seed, 555)) if spec.t1_shift else None
-    result = _fit(model, spec, staged, mask, lr_used, train_ids, val_ids,
-                  shift_rng=shift_rng)
-    if _train_loss_increased_early(result[0]):
-        lr_used, retried = spec.lr / 2.0, True
-        model = build_model(spec, np.random.default_rng(spec.seed))
-        shift_rng = np.random.default_rng((spec.seed, 555)) if spec.t1_shift else None
-        result = _fit(model, spec, staged, mask, lr_used, train_ids, val_ids,
-                      shift_rng=shift_rng)
-    train_losses, val_losses, best_state, best_epoch, best_val, init_val = result
-    model.load_state_dict(best_state)
-    rec = Reconstructor(spec, model)
-    metrics = _final_metrics(rec, staged, val_ids, mask)
-    ckpt = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        ckpt = save_checkpoint(out / "checkpoint.rtc", rec,
-                               meta={"best_epoch": best_epoch, "best_val": best_val})
-    return TrainReport(
-        family=spec.family, assists=spec.assists, epochs_run=spec.epochs,
-        train_loss=train_losses, val_loss=val_losses, best_epoch=best_epoch,
-        best_val_loss=best_val, final_psnr=metrics.mean("psnr_db"),
-        final_ssim=metrics.mean("ssim"), final_vif=metrics.mean("vif"),
-        wall_seconds=time.perf_counter() - t0, lr_used=lr_used,
-        retried=retried, checkpoint=ckpt,
-        extra={"init_val_loss": init_val}, model=rec)
+    return _fit_and_report(spec, staged, dataset.mask, train_ids, val_ids, t0,
+                           out_dir)
 
 
 # -- two-stage guidance training ----------------------------------------
@@ -728,41 +736,13 @@ def train_two_stage_golf(spec, dataset, out_dir=None, stage1_checkpoint=None):
     module, golf_curves = _train_golf_module(spec, staged, train_ids, val_ids)
     feats = _stage1_features(stage1_rec, module, staged, train_ids + val_ids, mask)
 
-    model = build_model(spec, np.random.default_rng(spec.seed))
-    shift_rng = np.random.default_rng((spec.seed, 555)) if spec.t1_shift else None
-    lr_used, retried = spec.lr, False
-    result = _fit(model, spec, staged, mask, lr_used, train_ids, val_ids,
-                  feats=feats, shift_rng=shift_rng)
-    if _train_loss_increased_early(result[0]):
-        lr_used, retried = spec.lr / 2.0, True
-        model = build_model(spec, np.random.default_rng(spec.seed))
-        shift_rng = np.random.default_rng((spec.seed, 555)) if spec.t1_shift else None
-        result = _fit(model, spec, staged, mask, lr_used, train_ids, val_ids,
-                      feats=feats, shift_rng=shift_rng)
-    train_losses, val_losses, best_state, best_epoch, best_val, init_val = result
-    model.load_state_dict(best_state)
-    rec = Reconstructor(spec, model, stage1=stage1_rec.model, golf=module)
-    metrics = _final_metrics(rec, staged, val_ids, mask)
-    ckpt = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        ckpt = save_checkpoint(out / "checkpoint.rtc", rec,
-                               meta={"best_epoch": best_epoch, "best_val": best_val})
-    report = TrainReport(
-        family=spec.family, assists=spec.assists, epochs_run=spec.epochs,
-        train_loss=train_losses, val_loss=val_losses, best_epoch=best_epoch,
-        best_val_loss=best_val, final_psnr=metrics.mean("psnr_db"),
-        final_ssim=metrics.mean("ssim"), final_vif=metrics.mean("vif"),
-        wall_seconds=time.perf_counter() - t0, lr_used=lr_used, retried=retried,
-        checkpoint=ckpt,
-        extra={"init_val_loss": init_val,
-               "golf_train_loss": golf_curves["train"],
-               "golf_val_loss": golf_curves["val"],
-               "stage1_best_val": None if stage1_report is None
-               else stage1_report.best_val_loss},
-        model=rec, stage1=stage1_report)
-    return report
+    extra = {"golf_train_loss": golf_curves["train"],
+             "golf_val_loss": golf_curves["val"],
+             "stage1_best_val": None if stage1_report is None
+             else stage1_report.best_val_loss}
+    return _fit_and_report(spec, staged, mask, train_ids, val_ids, t0, out_dir,
+                           feats=feats, stage1=stage1_rec.model, golf=module,
+                           extra=extra, stage1_report=stage1_report)
 
 
 # -- shift-augmented t1 training ----------------------------------------
@@ -821,7 +801,7 @@ def train_prn(block, base_rec, dataset, epochs=3, batch=4, seed=0,
     train_ids, val_ids = dataset.indices("train"), dataset.indices("val")
     mask = dataset.mask
 
-    recon = {i: _to_channels(base_rec.reconstruct(staged[i], mask))
+    recon = {i: complex_to_channels_array(base_rec.reconstruct(staged[i], mask))
              for i in train_ids + val_ids}
     re_opt = ad.Sgd(block.re_parameters(), lr=lr_re)
     critic_params = [p for n, p in block.named_parameters() if n.startswith("critic.")]

@@ -1,15 +1,26 @@
 """Fourier kernel vs numpy.fft oracle, unitarity properties, and the
 decomposed transform layer's init-time equivalence to the inverse FFT."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dualrec
 from dualrec import autodiff as ad
 from dualrec import fourier as fo
 from dualrec.autodiff import Tensor
 from dualrec.errors import DimensionError, ParameterError
 
 SEEDS = list(range(20))
+# square grids keep the bare length as their id
+GRIDS = [pytest.param((h, w), id=str(h) if h == w else f"{h}x{w}")
+         for h, w in ((16, 16), (32, 32), (64, 64), (12, 12), (13, 13),
+                      (12, 16), (13, 8), (64, 32))]
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def centered_ortho_fft2_oracle(z, sign=-1):
@@ -23,10 +34,10 @@ def centered_ortho_fft2_oracle(z, sign=-1):
 
 class TestKernel:
     @pytest.mark.parametrize("seed", SEEDS[:8])
-    @pytest.mark.parametrize("n", [16, 32, 64])
-    def test_fft2c_matches_numpy_oracle(self, seed, n):
+    @pytest.mark.parametrize("hw", GRIDS)
+    def test_fft2c_matches_numpy_oracle(self, seed, hw):
         rng = np.random.default_rng(seed)
-        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        z = rng.normal(size=hw) + 1j * rng.normal(size=hw)
         assert np.max(np.abs(fo.fft2c(z) - centered_ortho_fft2_oracle(z))) < 1e-10
         assert np.max(np.abs(fo.ifft2c(z) - centered_ortho_fft2_oracle(z, +1))) < 1e-10
 
@@ -38,14 +49,6 @@ class TestKernel:
         for i in range(3):
             for j in range(2):
                 assert np.max(np.abs(out[i, j] - fo.fft2c(z[i, j]))) < 1e-12
-
-    @pytest.mark.parametrize("n", [12, 13])
-    def test_non_pow2_matrix_path(self, n):
-        rng = np.random.default_rng(0)
-        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        wh = fo.dft_matrix(n, -1, centered=True)
-        want = wh @ z @ wh.T
-        assert np.max(np.abs(fo.fft2c(z) - want)) < 1e-10
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_round_trip_and_parseval(self, seed):
@@ -62,9 +65,33 @@ class TestKernel:
         assert np.max(np.abs(k - 1.0 / 16.0)) < 1e-12
 
     def test_dft_matrix_symmetric_unitary(self):
-        w = fo.dft_matrix(32, -1, centered=True)
+        w = fo.dft_matrix(32, -1)
         assert np.max(np.abs(w - w.T)) < 1e-14
         assert np.max(np.abs(w @ w.conj().T - np.eye(32))) < 1e-12
+
+    def test_shared_matrix_survives_training(self):
+        # every caller gets the same cached array, so it must refuse writes;
+        # DTLayer parameters start from it and Adam updates them in place
+        with pytest.raises(ValueError):
+            fo.dft_matrix(16, -1)[0, 0] = 0.0
+        layer = fo.DTLayer(16, hidden=4, rng=np.random.default_rng(0))
+        before = layer.m1_rr.data.copy()
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(1, 2, 16, 16)))
+        ad.mean_all(ad.square(layer(x))).backward()
+        ad.Adam(layer.parameters(), lr=1e-2).step()
+        assert not np.array_equal(layer.m1_rr.data, before)
+        z = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        assert np.max(np.abs(fo.fft2c(z) - centered_ortho_fft2_oracle(z))) < 1e-10
+        assert np.max(np.abs(fo.ifft2c(z) - centered_ortho_fft2_oracle(z, +1))) < 1e-10
+
+    def test_package_never_uses_numpy_fft(self):
+        pattern = re.compile(r"\bnp\.fft\b|\bnumpy\.fft\b|from\s+numpy\s+import\s+.*\bfft\b")
+        root = Path(dualrec.__file__).parent
+        hits = [f"{path.name}:{no}" for path in sorted(root.rglob("*.py"))
+                for no, line in enumerate(path.read_text().splitlines(), 1)
+                if pattern.search(line)]
+        assert not hits, hits
 
 
 class TestComplexGrid:
@@ -123,6 +150,20 @@ class TestDifferentiableTransforms:
         x = Tensor(rng.normal(size=(2, 2, 32, 32)))
         out = fo.ifft2_t(fo.fft2_t(x))
         assert np.max(np.abs(out.data - x.data)) < 1e-12
+
+    @_PROPERTY
+    @given(st.integers(1, 3), st.integers(2, 33), st.integers(2, 33),
+           st.integers(0, 2 ** 32 - 1))
+    def test_unitary_on_any_grid(self, b, h, w, seed):
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(2, b, 2, h, w))
+        fx = fo.fft2_t(Tensor(x)).data
+        assert np.max(np.abs(fo.ifft2_t(Tensor(fx)).data - x)) < 1e-12
+        nx = np.linalg.norm(x)
+        assert abs(np.linalg.norm(fx) - nx) < 1e-12 * nx
+        # <F x, y> == <x, F^-1 y> in the real 2-channel inner product
+        lhs, rhs = np.sum(fx * y), np.sum(x * fo.ifft2_t(Tensor(y)).data)
+        assert abs(lhs - rhs) < 1e-12 * nx * np.linalg.norm(y)
 
 
 class TestDTLayer:
