@@ -8,9 +8,9 @@ across calls, so two backward passes sum.
 
 Elementwise binary ops require operands of identical shape, except that a
 0-d tensor may scale/shift an array of any shape (needed for trainable
-scalar weights).  The only other implicit broadcast is the bias add inside
-the convolution ops.  Anything fancier must be spelled out with reshape,
-repeat_axis, or concat, which keeps gradient routing easy to audit.
+scalar weights).  Other implicit broadcasts: the conv bias add and the coil
+expand of ``fidelity.cmul_const``.  Anything fancier must be spelled out with
+reshape, repeat_axis, or concat, which keeps gradient routing easy to audit.
 
 All ops work in float64 or float32 depending on the dtype of their inputs.
 Everything in the package runs in float64 today: ``cascade._stage`` stages
@@ -233,8 +233,10 @@ def _check_elementwise(a, b):
 def _reduce_to(g, shape):
     if g.shape == shape:
         return g
-    # the only legal mismatch is a 0-d operand broadcast to the full shape
-    return np.sum(g).reshape(shape)
+    # sum g over the axes broadcasting added (leading) or stretched (size 1)
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n == 1)
+    return np.sum(g, axis=axes).reshape(shape)
 
 
 # -- elementwise arithmetic ---------------------------------------------

@@ -33,9 +33,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import (ConfigError, ContainerError, DimensionError, ParameterError,
                      StateError, TrainAbortError)
-from .fidelity import (FidelityWeights, SensitivitySet, df_single_t,
-                       sens_combine, vs_x_update_t, wab_t)
-from .fourier import ComplexGrid, complex_to_channels_array, fft2_t
+from .fidelity import (FidelityWeights, SensitivitySet, coil_arrays, df_single_t,
+                       vs_x_update_t, wab_t)
+from .fourier import ComplexGrid, complex_to_channels_array, fft2_t, ifft2c
 from .layers import Module, global_grad_norm, mse_loss
 from .metrics import MetricReport, compare
 from .networks import (RSN_MODES, GolfModule, PrnBlock, RsnBlock, gol,
@@ -47,6 +47,8 @@ ASSISTS = ("none", "golf", "t1", "t1_golf")
 
 _PRN_KEYS = {"hidden", "w_adv", "w_dist", "critic_base", "epochs",
              "lr_critic", "lr_re", "critic_steps", "gp_coeff"}
+_GOLF_META = ("feature_depth", "base", "depth", "eps")
+_PRN_META = ("channels", "hidden", "w_adv", "w_dist", "critic_base")
 
 
 @dataclass
@@ -172,7 +174,6 @@ class VsRsn(Module):
         super().__init__()
         if rng is None:
             rng = np.random.default_rng(spec.seed)
-        self.n_b = spec.n_b
         self.lam = spec.lam
         self._blocks, self._weights = [], []
         for i in range(spec.n_b):
@@ -187,29 +188,21 @@ class VsRsn(Module):
             self._weights.append(fw)
 
     def forward(self, y, sens, mask, with_parts=False):
-        """y: complex [n_c,H,W] or [B,n_c,H,W]; sens: one SensitivitySet for
-        the whole batch.  Returns the final combined image (and, with
-        ``with_parts``, the last per-coil spectrum-update images)."""
+        """y: complex [n_c,H,W] or [B,n_c,H,W]; sens: a SensitivitySet shared by
+        the batch, or maps [n_c,H,W] or [B,n_c,H,W].  Returns the combined image
+        (and, with ``with_parts``, the last coil images: a list of [B,2,H,W])."""
         y = np.asarray(y)
-        if y.ndim == 3:
-            y = y[None]
-        grids = [ComplexGrid.from_complex(y[0, i], "kspace") for i in range(y.shape[1])]
-        if y.shape[0] == 1:
-            m0 = sens_combine(grids, sens, mask).z[None]
-        else:
-            m0 = np.stack([
-                sens_combine([ComplexGrid.from_complex(y[b, i], "kspace")
-                              for i in range(y.shape[1])], sens, mask).z
-                for b in range(y.shape[0])])
+        s = sens.stacked() if isinstance(sens, SensitivitySet) else sens
+        y, s = coil_arrays(len(y) if y.ndim == 4 else 1, mask.bits.shape, y, s)
+        m0 = np.sum(np.conj(s) * ifft2c(np.where(mask.bits, y, 0.0)), axis=1)
         m = Tensor(complex_to_channels_array(m0))
-        x_list = None
         for block, fw in zip(self._blocks, self._weights):
             u = block(m, fft2_t(m))
             a_t, b_t = fw.alpha_t(), fw.beta_t()
-            x_list = vs_x_update_t(m, sens, mask, y, self.lam, a_t)
-            m = wab_t(u, x_list, sens, a_t, b_t)
+            x = vs_x_update_t(m, s, mask, y, self.lam, a_t)
+            m = wab_t(u, x, s, a_t, b_t)
         if with_parts:
-            return m, x_list
+            return m, [x[:, i] for i in range(x.shape[1])]
         return m
 
 
@@ -443,6 +436,13 @@ def _load_group(box, prefix, module):
     return module
 
 
+def _meta(d, keys, what="meta"):
+    """{key: d[key] for key in keys}, or StateError if d is no such object."""
+    if not isinstance(d, dict) or not set(keys) <= set(d):
+        raise StateError(f"checkpoint {what} {d!r:.200} lacks one of {keys}")
+    return {k: d[k] for k in keys}
+
+
 def load_checkpoint(path):
     """Rebuild the full Reconstructor saved by save_checkpoint."""
     path = Path(path)
@@ -450,25 +450,22 @@ def load_checkpoint(path):
         raise StateError(f"checkpoint {path} does not exist")
     box = RtcContainer.read(path)
     info = box.get_json("meta")
-    if info.get("format") != 1:
-        raise StateError(f"unsupported checkpoint format {info.get('format')!r}")
+    if _meta(info, ("format",))["format"] != 1:
+        raise StateError(f"unsupported checkpoint format {info['format']!r}")
+    _meta(info, ("spec", "has_stage1", "has_golf", "has_prn"))
     spec = CascadeSpec.from_dict(info["spec"])
     model = _load_group(box, "model/", build_model(spec))
     stage1 = golf = prn = None
     if info["has_stage1"]:
         stage1 = _load_group(box, "stage1/", build_model(_base_spec(spec)))
     if info["has_golf"]:
-        g = info["golf"]
-        golf = GolfModule(feature_depth=g["feature_depth"], base=g["base"],
-                          depth=g["depth"], eps=g["eps"],
-                          rng=np.random.default_rng(spec.seed))
+        g = _meta(info.get("golf"), _GOLF_META + ("trained",), "golf meta")
+        trained = g.pop("trained")
+        golf = GolfModule(**g, rng=np.random.default_rng(spec.seed))
         _load_group(box, "golf/", golf)
-        golf.trained = bool(g["trained"])
+        golf.trained = bool(trained)
     if info["has_prn"]:
-        p = info["prn"]
-        prn = PrnBlock(channels=p["channels"], hidden=p["hidden"],
-                       w_adv=p["w_adv"], w_dist=p["w_dist"],
-                       critic_base=p["critic_base"],
+        prn = PrnBlock(**_meta(info.get("prn"), _PRN_META, "prn meta"),
                        rng=np.random.default_rng(spec.seed))
         _load_group(box, "prn/", prn)
     return Reconstructor(spec, model, stage1=stage1, golf=golf, prn=prn)
@@ -496,9 +493,8 @@ def _batched(order, batch):
 
 def _forward_batch(model, spec, staged, ids, mask, feats=None, shifts=None):
     if spec.family == "vs_rsn":
-        # per-sample coil maps force batch size 1 in this family
-        outs = [model(staged[i]["y"], staged[i]["sens"], mask) for i in ids]
-        return outs[0] if len(outs) == 1 else ad.concat(outs, axis=0)
+        return model(np.stack([staged[i]["y"] for i in ids]),
+                     np.stack([staged[i]["sens"].stacked() for i in ids]), mask)
     us_image, us_k, _, t1 = _batch_arrays(staged, ids, shifts)
     if spec.assists not in ("t1", "t1_golf"):
         t1 = None   # paired data carries t1 even when the model ignores it
@@ -537,12 +533,11 @@ def _fit(model, spec, staged, mask, lr, train_ids, val_ids, feats=None,
     opt = ad.Adam(model.parameters(), lr=lr)
     train_losses, val_losses = [], []
     best_state, best_epoch, best_val = None, -1, math.inf
-    batch = 1 if spec.family == "vs_rsn" else spec.batch
-    init_val = _val_loss(model, spec, staged, val_ids, mask, batch, feats)
+    init_val = _val_loss(model, spec, staged, val_ids, mask, spec.batch, feats)
     for epoch in range(spec.epochs):
         order = np.random.default_rng((spec.seed, 1000 + epoch)).permutation(train_ids)
         total, count = 0.0, 0
-        for batch_no, ids in enumerate(_batched(order, batch)):
+        for batch_no, ids in enumerate(_batched(order, spec.batch)):
             shifts = None
             if shift_rng is not None and spec.t1_shift > 0:
                 shifts = shift_rng.integers(-spec.t1_shift, spec.t1_shift + 1,
@@ -559,7 +554,7 @@ def _fit(model, spec, staged, mask, lr, train_ids, val_ids, feats=None,
             total += lval * len(ids)
             count += len(ids)
         train_losses.append(total / count)
-        vloss = _val_loss(model, spec, staged, val_ids, mask, batch, feats)
+        vloss = _val_loss(model, spec, staged, val_ids, mask, spec.batch, feats)
         val_losses.append(vloss)
         if vloss < best_val:
             best_val, best_epoch = vloss, epoch

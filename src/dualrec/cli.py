@@ -171,7 +171,7 @@ def _check_outputs(rec, dataset, staged, ids, out):
         if not path.exists():
             raise ConfigError(f"missing output {path}; run reconstruct "
                               "without --check first")
-        arr = RtcContainer.read(path).entries["image"]
+        arr = RtcContainer.read(path).get("image")
         spec_out = fft2c(arr[0] + 1j * arr[1])
         err = np.abs(spec_out[dataset.mask.bits] -
                      s["us_k"][dataset.mask.bits]).max()
@@ -191,7 +191,7 @@ def _read_image_dir(path):
     files = sorted(Path(path).glob("*.rtc"))
     out = {}
     for f in files:
-        arr = RtcContainer.read(f).entries["image"].astype(np.float64)
+        arr = RtcContainer.read(f).get("image").astype(np.float64)
         out[f.stem] = np.hypot(arr[0], arr[1]) if arr.ndim == 3 else arr
     return out
 

@@ -14,7 +14,9 @@ pointwise arithmetic around the centered orthonormal FFT.
 Each operator exists twice: a pure ComplexGrid version used for oracles and
 dataset generation, and a ``*_t`` version that runs on [B,2,H,W] channel
 tensors inside the autodiff graph (differentiable w.r.t. the image argument
-and, where stated, the scalar weights).
+and, where stated, the scalar weights).  The coil ops take maps and spectra
+as complex [B,n_c,H,W] (or [n_c,H,W], shared by the batch) and coil images as
+one [B,n_c,2,H,W] tensor: the coils are an array axis, not a loop.
 """
 
 import math
@@ -25,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import DimensionError, ParameterError
-from .fourier import (ComplexGrid, fft2_t, fft2c, ifft2_t, ifft2c)
+from .fourier import ComplexGrid, complex_to_channels_array, fft2_t, fft2c, ifft2_t, ifft2c
 
 
 # -- domain types --------------------------------------------------------
@@ -176,15 +178,21 @@ def _const_full(arr, shape, dtype):
     return Tensor(np.broadcast_to(np.asarray(arr, dtype=dtype), shape).copy())
 
 
-def _mask_channels(mask, shape, dtype):
-    """mask bits as a [B,2,H,W] constant (same value on both channels)."""
-    m = mask.bits.astype(dtype)
-    return _const_full(m[None, None], shape, dtype)
+def coil_arrays(bsz, hw, *arrays):
+    """Constant complex per-coil arrays (spectra, maps), each [n_c,H,W]
+    (shared by the batch) or [B,n_c,H,W], as [1 or B, n_c, H, W]."""
+    out = [np.asarray(a)[None] if np.ndim(a) == 3 else np.asarray(a) for a in arrays]
+    if any(a.ndim != 4 or a.shape[0] not in (1, bsz) or
+           a.shape[1:] != out[0].shape[1:2] + hw for a in out):
+        raise DimensionError(f"per-coil arrays {[a.shape for a in out]} do not "
+                             f"fit a batch of {bsz} at {hw}")
+    return out
 
 
 def cmul_const(x, z_const, conj=False):
-    """Multiply channel tensor [...,2,H,W] by a constant complex array [H,W]
-    (or broadcastable).  conj multiplies by the conjugate."""
+    """Multiply channel tensor [...,2,H,W] by a constant complex array that
+    broadcasts against [...,H,W] (conj: by its conjugate).  With x
+    [B,1,2,H,W] and maps [B,n_c,H,W] this is the coil expand."""
     if not isinstance(x, Tensor):
         x = Tensor(x)
     a = np.asarray(z_const.real, dtype=x.dtype)
@@ -199,7 +207,7 @@ def cmul_const(x, z_const, conj=False):
         gr = np.take(g, 0, axis=-3)
         gi = np.take(g, 1, axis=-3)
         gx = np.stack([gr * a + gi * b, -gr * b + gi * a], axis=-3)
-        ad._flow_add(flow, x, gx)
+        ad._flow_add(flow, x, ad._reduce_to(gx, x.shape))
 
     return ad._make(out, (x,), backward)
 
@@ -224,65 +232,48 @@ def df_single_t(m_cnn, us_k, mask, lam=math.inf):
         b_z = np.where(mb, us_k * (lam / (1.0 + lam)), 0.0)
     k = fft2_t(m_cnn)
     a_full = _const_full(a[None, None], k.shape, dt)
-    b_ch = np.stack([b_z.real, b_z.imag], axis=1).astype(dt)  # [B,2,H,W]
-    b_full = _const_full(b_ch, k.shape, dt)
+    b_full = _const_full(complex_to_channels_array(b_z), k.shape, dt)
     rec = ad.add(ad.mul(k, a_full), b_full)
     return ifft2_t(rec)
 
 
-def vs_x_update_t(m, sens, mask, y, lam, alpha_t):
-    """Graph x-update.  m [B,2,H,W]; y constant complex [n_c,H,W] or
-    [B,n_c,H,W]; alpha_t a 0-d tensor.  Returns a list of [B,2,H,W] tensors."""
+def vs_x_update_t(m, s, mask, y, lam, alpha_t):
+    """Graph x-update for all coils at once.  m [B,2,H,W]; coil maps s and
+    spectra y constant complex [n_c,H,W] or [B,n_c,H,W]; alpha_t a 0-d
+    tensor.  Returns the coil images as one [B,n_c,2,H,W] tensor."""
     _check_lam(lam)
     if m.ndim != 4 or m.shape[1] != 2:
         raise DimensionError(f"vs_x_update_t expects [B,2,H,W], got {m.shape}")
     dt = m.dtype
-    bsz = m.shape[0]
+    bsz, _, h, w = m.shape
+    y, s = coil_arrays(bsz, (h, w), y, s)
+    full = (bsz, s.shape[1], 2, h, w)
     mb = mask.bits
-    y = np.asarray(y)
-    if y.ndim == 3:
-        y = np.broadcast_to(y[None], (bsz,) + y.shape)
-    if y.shape[1] != sens.n_c:
-        raise DimensionError(f"{y.shape[1]} coil spectra for {sens.n_c} maps")
-    mask_on = _mask_channels(mask, m.shape, dt)
-    mask_off = _const_full((~mb).astype(dt)[None, None], m.shape, dt)
-    out = []
-    for i, s_i in enumerate(sens.maps):
-        v = fft2_t(cmul_const(m, s_i.z))
-        off = ad.mul(v, mask_off)
-        if math.isinf(lam):
-            y_ch = np.stack([np.where(mb, y[:, i].real, 0.0),
-                             np.where(mb, y[:, i].imag, 0.0)], axis=1).astype(dt)
-            on = _const_full(y_ch, m.shape, dt)
-            xk = ad.add(off, on)
-        else:
-            # (alpha*v + lam*y) / (lam + alpha) on sampled entries
-            recip = ad.div(Tensor(np.asarray(1.0, dtype=dt)),
-                           ad.add(alpha_t, Tensor(np.asarray(lam, dtype=dt))))
-            y_ch = np.stack([np.where(mb, y[:, i].real, 0.0),
-                             np.where(mb, y[:, i].imag, 0.0)], axis=1).astype(dt)
-            blend = ad.add(ad.mul(ad.mul(v, mask_on), alpha_t),
-                           ad.mul(_const_full(y_ch, m.shape, dt),
-                                  Tensor(np.asarray(lam, dtype=dt))))
-            xk = ad.add(off, ad.mul(blend, recip))
-        out.append(ifft2_t(xk))
-    return out
+    y_ch = _const_full(complex_to_channels_array(np.where(mb, y, 0.0)), full, dt)
+    v = fft2_t(cmul_const(ad.reshape(m, (bsz, 1, 2, h, w)), s))
+    off = ad.mul(v, _const_full((~mb).astype(dt), full, dt))
+    if math.isinf(lam):
+        xk = ad.add(off, y_ch)
+    else:
+        # (alpha*v + lam*y) / (lam + alpha) on sampled entries
+        recip = ad.div(1.0, ad.add(alpha_t, lam))
+        blend = ad.add(ad.mul(ad.mul(v, _const_full(mb.astype(dt), full, dt)), alpha_t),
+                       ad.mul(y_ch, lam))
+        xk = ad.add(off, ad.mul(blend, recip))
+    return ifft2_t(xk)
 
 
-def wab_t(u, x, sens, alpha_t, beta_t):
-    """Graph WAB.  u [B,2,H,W], x a list of [B,2,H,W], alpha/beta 0-d tensors."""
-    if len(x) != sens.n_c:
-        raise DimensionError(f"{len(x)} coil images for {sens.n_c} maps")
+def wab_t(u, x, s, alpha_t, beta_t):
+    """Graph WAB.  u [B,2,H,W], coil images x [B,n_c,2,H,W], coil maps s
+    constant complex [n_c,H,W] or [B,n_c,H,W], alpha/beta 0-d tensors."""
     dt = u.dtype
-    ssum = sens.support_profile().astype(dt)
-    acc = None
-    for s_i, x_i in zip(sens.maps, x):
-        term = cmul_const(x_i, s_i.z, conj=True)
-        acc = term if acc is None else ad.add(acc, term)
+    s, = coil_arrays(u.shape[0], u.shape[2:], s)
+    if x.shape[:1] + x.shape[2:] != u.shape or x.shape[1] != s.shape[1]:
+        raise DimensionError(f"coil images {x.shape} for u {u.shape} and maps {s.shape}")
+    acc = ad.sum_axes(cmul_const(x, s, conj=True), (1,))
     num = ad.add(ad.mul(u, beta_t), ad.mul(acc, alpha_t))
-    ssum_full = _const_full(ssum[None, None], u.shape, dt)
-    denom = ad.add(ad.mul(ssum_full, alpha_t),
-                   ad.mul(_const_full(np.ones((), dtype=dt), u.shape, dt), beta_t))
+    ssum = _const_full(np.sum(np.abs(s) ** 2, axis=1)[:, None], u.shape, dt)
+    denom = ad.add(ad.mul(ssum, alpha_t), beta_t)
     if np.any(denom.data == 0.0):
         raise ParameterError("wab denominator vanishes")
     return ad.div(num, denom)

@@ -24,6 +24,7 @@ pointwise so sum |S_i|^2 = 1.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,8 +65,16 @@ class RtcContainer:
         payload = np.frombuffer(json.dumps(obj, sort_keys=True).encode(), dtype=np.uint8)
         return self.add(name, payload.copy())
 
+    def get(self, name):
+        if name not in self.entries:
+            raise ContainerError(f"container has no {name!r} entry")
+        return self.entries[name]
+
     def get_json(self, name):
-        return json.loads(bytes(self.entries[name]).decode())
+        try:
+            return json.loads(self.get(name).tobytes().decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ContainerError(f"entry {name!r} is not UTF-8 JSON: {exc}") from exc
 
     def write(self, path):
         blob = bytearray()
@@ -103,18 +112,18 @@ class RtcContainer:
         box = cls()
         for _ in range(count):
             nlen, = struct.unpack("<H", take(2))
-            try:
-                name = take(nlen).decode()
-            except UnicodeDecodeError as exc:
-                raise ContainerError(f"entry name is not utf-8 in {path}") from exc
+            name = take(nlen)
             code, ndim = struct.unpack("<BB", take(2))
             if code not in _CODE_TO_DTYPE:
                 raise ContainerError(f"unknown dtype code {code} in {path}")
-            dims = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
+            dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
             dtype = _CODE_TO_DTYPE[code]
-            n_items = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-            payload = take(n_items * dtype.itemsize)
-            arr = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+            payload = take(math.prod(dims) * dtype.itemsize)
+            try:   # a name that is not UTF-8, or a zero dim beside dims too large to index
+                name = name.decode()
+                arr = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+            except ValueError as exc:
+                raise ContainerError(f"bad entry {name!r} in {path}: {exc}") from exc
             if name in box.entries:
                 raise ContainerError(f"duplicate entry {name!r} in {path}")
             box.entries[name] = arr
@@ -330,7 +339,9 @@ def write_mask_file(mask, path):
 def read_mask_file(path):
     box = RtcContainer.read(path)
     meta = box.get_json("meta")
-    return SamplingMask(box.entries["mask"].astype(bool), meta["accel"],
+    if not isinstance(meta, dict) or not {"accel", "kind", "seed"} <= set(meta):
+        raise ContainerError(f"mask file {path}: meta lacks accel, kind or seed")
+    return SamplingMask(box.get("mask").astype(bool), meta["accel"],
                         meta["kind"], meta["seed"])
 
 

@@ -423,7 +423,7 @@ def _graph_ops(rng):
     s = Parameter(np.asarray(0.7))
     m = Parameter(rng.normal(size=(4, 4)))
     mask = make_mask("cartesian", 8, 8, 2, seed=1)
-    sens = gen_coil_maps(8, 8, 2, seed=1)
+    sens = gen_coil_maps(8, 8, 2, seed=1).stacked()
     us_k = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     y = rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8))
     xs = vs_x_update_t(x, sens, mask, y, 3.0, s)
@@ -443,10 +443,10 @@ def _graph_ops(rng):
         "upconv2x2": ad.upconv2x2(x, wt, b),
         "maxpool2x2": ad.maxpool2x2(x),
         "fft2_t": fft2_t(x), "ifft2_t": ifft2_t(x),
-        "cmul_const": cmul_const(x, sens.maps[0].z),
+        "cmul_const": cmul_const(x, sens[0]),
         "df_single_t": df_single_t(x, us_k, mask),
         "df_single_t_soft": df_single_t(x, us_k, mask, lam=2.0),
-        "vs_x_update_t": xs[0],
+        "vs_x_update_t": xs,
         "wab_t": wab_t(x, xs, sens, s, s),
     }
 

@@ -238,6 +238,35 @@ class TestVsRsnForward:
         with pytest.raises(DimensionError):
             model(np.concatenate([y, y[:1]]), sens, mask)
 
+    def test_batch_with_per_sample_maps_equals_samples_alone(self):
+        _, sens_a, mask, y_a = vs_problem(3, 12)
+        _, sens_b, _, y_b = vs_problem(3, 13, mask=mask)
+        model = cas.build_model(small_spec(family="vs_rsn", n_b=2, lam=2.0),
+                                np.random.default_rng(0))
+        nz = np.random.default_rng(4)
+        for p in model.parameters():
+            p.data = p.data + nz.normal(scale=0.05, size=p.shape)
+        both, parts = model(np.stack([y_a, y_b]),
+                            np.stack([sens_a.stacked(), sens_b.stacked()]),
+                            mask, with_parts=True)
+        for b, (y, sens) in enumerate([(y_a, sens_a), (y_b, sens_b)]):
+            alone, alone_parts = model(y, sens, mask, with_parts=True)
+            assert np.abs(both.data[b] - alone.data[0]).max() < 1e-12
+            assert len(parts) == len(alone_parts) == 3
+            for got, want in zip(parts, alone_parts):
+                assert got.shape == (2, 2, 32, 32)
+                assert np.abs(got.data[b] - want.data[0]).max() < 1e-12
+
+    def test_batch_mismatch_rejected(self):
+        _, sens, mask, y = vs_problem(2, 7)
+        model = cas.build_model(small_spec(family="vs_rsn"),
+                                np.random.default_rng(0))
+        maps = np.stack([sens.stacked()] * 3)
+        with pytest.raises(DimensionError):
+            model(np.stack([y, y]), maps, mask)
+        with pytest.raises(DimensionError):
+            model(y, maps, mask)
+
 
 class TestTrain:
     def test_loss_policy_and_baseline(self, ds_single, trained_n1):
@@ -308,6 +337,17 @@ class TestTrain:
         rec = cas.load_checkpoint(rep.checkpoint) if rep.checkpoint else rep.model
         mag = np.abs(rec.reconstruct(cas._stage(ds_multi)[0], ds_multi.mask))
         assert mag.shape == (32, 32)
+
+    def test_multi_coil_training_honours_batch(self, ds_multi, monkeypatch):
+        steps = []
+        step = cas.ad.Adam.step
+        monkeypatch.setattr(cas.ad.Adam, "step",
+                            lambda opt: steps.append(1) or step(opt))
+        spec = small_spec(family="vs_rsn", epochs=1, batch=2, seed=4)
+        cas.train(spec, ds_multi)
+        n_train = len(ds_multi.indices("train"))
+        assert n_train > 2
+        assert len(steps) == -(-n_train // 2)
 
     @pytest.mark.parametrize("entry", ["target", "us_kspace", "us_image",
                                        "coil_kspace", "sens"])

@@ -285,6 +285,20 @@ class TestReconstructCmd:
                      "--split", "val", "--out", str(tmp_path / "empty"),
                      "--check"]) == 2
 
+    @pytest.mark.parametrize("meta", [b"{oops", b'{"format": 1}', None],
+                             ids=["not_json", "format_only", "no_meta"])
+    def test_malformed_checkpoint_meta_exits_2(self, run_dir, ds_dir, tmp_path,
+                                               capsys, meta):
+        box = RtcContainer.read(run_dir / "checkpoint.rtc")
+        del box.entries["meta"]
+        if meta is not None:
+            box.add("meta", np.frombuffer(meta, dtype=np.uint8).copy())
+        bad = tmp_path / "bad.rtc"
+        box.write(bad)
+        assert main(["reconstruct", "--checkpoint", str(bad), "--dataset",
+                     str(ds_dir), "--out", str(tmp_path / "out")]) == 2
+        assert "meta" in capsys.readouterr().err
+
     def test_family_mismatch_exits_2(self, run_dir, ds_multi_dir):
         assert main(["reconstruct", "--checkpoint",
                      str(run_dir / "checkpoint.rtc"), "--dataset",
@@ -363,6 +377,20 @@ class TestEvaluateCmd:
         text = svg.read_text()
         assert text.startswith("<svg")
         assert "psnr_db" in text and "ssim" in text and "vif" in text
+
+    def test_recon_without_image_entry_exits_2(self, recon_dir, ds_dir,
+                                               tmp_path, capsys):
+        clone = tmp_path / "clone"
+        clone.mkdir()
+        for f in recon_dir.glob("*.rtc"):
+            (clone / f.name).write_bytes(f.read_bytes())
+        victim = sorted(clone.glob("*.rtc"))[0]
+        box = RtcContainer.read(victim)
+        del box.entries["image"]
+        box.write(victim)
+        assert main(["evaluate", "--recon", str(clone), "--target",
+                     str(ds_dir), "--out", str(tmp_path / "m.csv")]) == 2
+        assert "image" in capsys.readouterr().err
 
     def test_empty_recon_dir(self, ds_dir, tmp_path):
         empty = tmp_path / "none"

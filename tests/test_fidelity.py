@@ -269,38 +269,90 @@ class TestGraphVersions:
             assert np.max(np.abs(out.data[i, 1] - want.im)) < 1e-12
 
     def test_vs_x_update_t_and_wab_t_match_pure(self):
+        """Two samples, each with its own coil maps and spectra: every coil
+        of every sample agrees with the pure operators, for soft and hard DF."""
+        for lam in (4.0, math.inf):
+            self._check_against_pure(lam)
+
+    def _check_against_pure(self, lam):
         rng = np.random.default_rng(8)
-        sens = _sens(rng, 2, 8, 8)
-        m = _grid(rng, 8, 8)
+        n_c, alpha, beta = 3, 0.8, 1.3
         mask = _mask(8, 8, 2)
-        y = [_grid(rng, 8, 8, "kspace") for _ in range(2)]
-        lam, alpha, beta = 4.0, 0.8, 1.3
-        m_t = Tensor(np.stack([m.re, m.im])[None])
+        sens = [_sens(rng, n_c, 8, 8) for _ in range(2)]
+        ms = [_grid(rng, 8, 8) for _ in range(2)]
+        us = [_grid(rng, 8, 8) for _ in range(2)]
+        ys = [[_grid(rng, 8, 8, "kspace") for _ in range(n_c)] for _ in range(2)]
+        m_t = Tensor(np.stack([np.stack([g.re, g.im]) for g in ms]))
+        u_t = Tensor(np.stack([np.stack([g.re, g.im]) for g in us]))
+        s = np.stack([ss.stacked() for ss in sens])
+        y = np.stack([np.stack([g.z for g in row]) for row in ys])
         alpha_t = Tensor(np.asarray(alpha))
         beta_t = Tensor(np.asarray(beta))
-        xs_t = fid.vs_x_update_t(m_t, sens, mask, np.stack([g.z for g in y]), lam, alpha_t)
-        xs = fid.vs_x_update(m, sens, mask, y, lam, alpha)
-        for got, want in zip(xs_t, xs):
-            assert np.max(np.abs(got.data[0, 0] - want.re)) < 1e-10
-            assert np.max(np.abs(got.data[0, 1] - want.im)) < 1e-10
-        u = _grid(rng, 8, 8)
-        u_t = Tensor(np.stack([u.re, u.im])[None])
-        m_out_t = fid.wab_t(u_t, xs_t, sens, alpha_t, beta_t)
-        m_out = fid.wab(u, xs, sens, alpha, beta)
-        assert np.max(np.abs(m_out_t.data[0, 0] - m_out.re)) < 1e-10
-        assert np.max(np.abs(m_out_t.data[0, 1] - m_out.im)) < 1e-10
+        xs_t = fid.vs_x_update_t(m_t, s, mask, y, lam, alpha_t)
+        assert xs_t.shape == (2, n_c, 2, 8, 8)
+        m_out_t = fid.wab_t(u_t, xs_t, s, alpha_t, beta_t)
+        for b in range(2):
+            xs = fid.vs_x_update(ms[b], sens[b], mask, ys[b], lam, alpha)
+            for i in range(n_c):
+                assert np.max(np.abs(xs_t.data[b, i, 0] - xs[i].re)) < 1e-10
+                assert np.max(np.abs(xs_t.data[b, i, 1] - xs[i].im)) < 1e-10
+            m_out = fid.wab(us[b], xs, sens[b], alpha, beta)
+            assert np.max(np.abs(m_out_t.data[b, 0] - m_out.re)) < 1e-10
+            assert np.max(np.abs(m_out_t.data[b, 1] - m_out.im)) < 1e-10
+
+    def test_shared_maps_equal_per_sample_copies(self):
+        rng = np.random.default_rng(9)
+        sens = _sens(rng, 2, 8, 8).stacked()
+        mask = _mask(8, 8, 4)
+        y = random_complex(rng, (2, 2, 8, 8))
+        m_t = Tensor(rng.normal(size=(2, 2, 8, 8)))
+        a_t = Tensor(np.asarray(0.7))
+        shared = fid.vs_x_update_t(m_t, sens, mask, y, 2.0, a_t)
+        copied = fid.vs_x_update_t(m_t, np.stack([sens, sens]), mask, y, 2.0, a_t)
+        assert np.array_equal(shared.data, copied.data)
+        assert np.array_equal(fid.wab_t(m_t, shared, sens, a_t, a_t).data,
+                              fid.wab_t(m_t, copied, np.stack([sens, sens]), a_t, a_t).data)
+
+    def test_coil_and_batch_mismatch_rejected(self):
+        rng = np.random.default_rng(10)
+        s = np.stack([_sens(rng, 2, 8, 8).stacked() for _ in range(2)])
+        mask = _mask(8, 8, 4)
+        m_t = Tensor(rng.normal(size=(2, 2, 8, 8)))
+        a_t = Tensor(np.asarray(1.0))
+        y = random_complex(rng, (2, 2, 8, 8))
+        with pytest.raises(DimensionError):
+            fid.vs_x_update_t(m_t, s, mask, y[:, :1], 2.0, a_t)
+        with pytest.raises(DimensionError):
+            fid.vs_x_update_t(m_t[:1], s, mask, y[:1], 2.0, a_t)
+        xs = fid.vs_x_update_t(m_t, s, mask, y, 2.0, a_t)
+        with pytest.raises(DimensionError):
+            fid.wab_t(m_t, xs, s[:, :1], a_t, a_t)
+        with pytest.raises(DimensionError):
+            fid.wab_t(m_t[:1], xs, s, a_t, a_t)
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_graph_gradients(self, seed):
+        self._grad_check(seed, per_sample=False)
+
+    @pytest.mark.parametrize("seed", SEEDS[:3])
+    def test_graph_gradients_per_sample_maps(self, seed):
+        """B=2, each sample with its own maps: the coil expand in cmul_const
+        sums its gradient over the coil axis."""
+        self._grad_check(seed, per_sample=True)
+
+    def _grad_check(self, seed, per_sample):
         rng = np.random.default_rng(seed)
-        sens = _sens(rng, 2, 8, 8)
+        bsz = 2 if per_sample else 1
+        sens = _sens(rng, 2, 8, 8).stacked()
+        if per_sample:
+            sens = np.stack([sens, _sens(rng, 2, 8, 8).stacked()])
         mask = _mask(8, 8, seed)
-        y = np.stack([random_complex(rng, (8, 8)) for _ in range(2)])
-        m_t = Tensor(rng.normal(size=(1, 2, 8, 8)), requires_grad=True)
-        u_t = Tensor(rng.normal(size=(1, 2, 8, 8)), requires_grad=True)
+        y = random_complex(rng, (bsz, 2, 8, 8))
+        m_t = Tensor(rng.normal(size=(bsz, 2, 8, 8)), requires_grad=True)
+        u_t = Tensor(rng.normal(size=(bsz, 2, 8, 8)), requires_grad=True)
         la = Tensor(np.asarray(0.2), requires_grad=True)
         lb = Tensor(np.asarray(-0.1), requires_grad=True)
-        target = rng.normal(size=(1, 2, 8, 8))
+        target = rng.normal(size=(bsz, 2, 8, 8))
 
         def loss():
             alpha_t, beta_t = ad.exp(la), ad.exp(lb)

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import oracle_ifft2
 from dualrec import phantoms as ph
@@ -95,6 +97,50 @@ class TestRtcContainer:
         (tmp_path / "n.rtc").write_bytes(bytes(raw))
         with pytest.raises(ContainerError):
             ph.RtcContainer.read(tmp_path / "n.rtc")
+
+
+@pytest.fixture(scope="module")
+def rtc_file(tmp_path_factory):
+    """A written container laid out like a checkpoint (a JSON meta entry and
+    arrays of several dtypes and ranks): its path and its bytes."""
+    box = ph.RtcContainer()
+    box.add_json("meta", {"format": 1, "spec": {"n_b": 3}, "has_prn": False})
+    box.add("model/w", np.arange(12, dtype=np.float64).reshape(3, 4))
+    box.add("model/s", np.asarray(0.5, dtype=np.float32))
+    box.add("mask", np.ones((4, 4), dtype=np.uint8))
+    path = tmp_path_factory.mktemp("rtc_damage") / "box.rtc"
+    box.write(path)
+    return path, path.read_bytes()
+
+
+class TestRtcDamage:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_damaged_bytes_read_or_raise_container_error(self, rtc_file, data):
+        """A truncation, or 1-3 overwritten bytes, either still reads or
+        raises ContainerError from read or get_json; nothing else escapes."""
+        path, raw = rtc_file
+        raw = bytearray(raw)
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            for _ in range(data.draw(st.integers(1, 3), label="n_bytes")):
+                raw[data.draw(st.integers(0, len(raw) - 1), label="at")] = \
+                    data.draw(st.integers(0, 255), label="value")
+        bad = path.with_name("damaged.rtc")
+        bad.write_bytes(bytes(raw))
+        try:
+            ph.RtcContainer.read(bad).get_json("meta")
+        except ContainerError:
+            pass
+
+    @pytest.mark.parametrize("payload", [b"{oops", b"\xff\xfe", None])
+    def test_bad_json_entry_raises_container_error(self, payload):
+        box = ph.RtcContainer()
+        if payload is not None:
+            box.add("meta", np.frombuffer(payload, dtype=np.uint8).copy())
+        with pytest.raises(ContainerError, match="meta"):
+            box.get_json("meta")
 
 
 class TestGenPhantom:
@@ -303,3 +349,17 @@ class TestMaskFiles:
         back = ph.read_mask_file(p)
         assert np.array_equal(back.bits, m.bits)
         assert back.kind == m.kind and back.accel == m.accel and back.seed == m.seed
+
+    @pytest.mark.parametrize("drop", ["mask", "accel", "meta"])
+    def test_incomplete_file_raises_container_error(self, tmp_path, drop):
+        p = tmp_path / "m.rtc"
+        ph.write_mask_file(make_cartesian(32, 32, 4.0, seed=9), p)
+        box = ph.RtcContainer.read(p)
+        meta = box.get_json("meta")
+        del box.entries[drop if drop != "accel" else "meta"]
+        if drop == "accel":
+            del meta["accel"]
+            box.add_json("meta", meta)
+        box.write(p)
+        with pytest.raises(ContainerError):
+            ph.read_mask_file(p)
