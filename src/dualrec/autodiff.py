@@ -12,11 +12,15 @@ scalar weights).  Other implicit broadcasts: the conv bias add and the coil
 expand of ``fidelity.cmul_const``.  Anything fancier must be spelled out with
 reshape, repeat_axis, or concat, which keeps gradient routing easy to audit.
 
-All ops work in float64 or float32 depending on the dtype of their inputs.
-Everything in the package runs in float64 today: ``cascade._stage`` stages
-data in float64 and every module defaults to float64 parameters (nothing in
-the cascade passes another dtype), so training, inference and the numerical
-test suites all run in float64.
+All ops work in float64 or float32: an op on float32 inputs returns float32
+and routes float32 gradients (tests/test_autodiff.py checks every op).  A
+constant that enters a graph must carry its tensor's dtype, or be a Python
+scalar, because under NumPy 2 a float64 array, even a 0-d one, promotes the
+whole graph to float64.  Modules default to float64 parameters and
+``cascade._stage`` stages data in float64, so inference, checkpoints,
+metrics and the gradient checks run in float64.  Training runs in float32:
+the training loops of ``cascade`` cast the parameters and every batch to
+float32 for the duration of the loop and back to float64 afterwards.
 
 A graph keeps each op's parents plus what its backward closure holds.  A
 stride-1 ``conv2d`` (every convolution of the reconstruction networks)
@@ -348,7 +352,7 @@ def relu(a):
 
 def leaky_relu(a, slope=0.2):
     a = _as_tensor(a)
-    scale = np.where(a.data > 0, 1.0, slope)
+    scale = np.where(a.data > 0, 1.0, slope).astype(a.dtype)
 
     def backward(g, flow):
         _flow_add(flow, a, g * scale)

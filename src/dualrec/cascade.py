@@ -10,7 +10,11 @@ Two families:
   the block as a denoiser, a per-coil least-squares spectrum update, and a
   sensitivity-weighted average with trainable positive weights.
 
-Training is plain MSE + Adam, deterministic given the spec seed.  Assisted
+Training is plain MSE + Adam, deterministic given the spec seed.  Every
+training loop runs its forward pass, backward pass and optimizer step in
+TRAIN_DTYPE (float32): it casts the parameters to float32 in place for the
+loop and back to float64 when the loop ends, however it ends.  Staged data,
+inference, checkpoints and metrics are float64.  Assisted
 variants: ``golf`` trains in two stages (base model, then a guidance-feature
 module, then a fresh injected model fed frozen features); ``t1`` stacks a
 registered companion contrast into the fusion input, optionally with random
@@ -22,7 +26,9 @@ entry, bundling whatever pieces inference needs (stage-1 model, guidance
 module, refiner) so a checkpoint is always self-sufficient.
 """
 
+import contextlib
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -42,6 +48,7 @@ from .networks import (RSN_MODES, GolfModule, PrnBlock, RsnBlock, gol,
                        gradient_penalty)
 from .phantoms import RtcContainer
 
+TRAIN_DTYPE = np.float32
 FAMILIES = ("dc_rsn", "vs_rsn")
 ASSISTS = ("none", "golf", "t1", "t1_golf")
 
@@ -77,7 +84,25 @@ class CascadeSpec:
     batch: int = 4
     lr: float = 1e-3
 
+    def _check_types(self):
+        """ConfigError unless each field holds a value of its declared JSON
+        type: ints take no bool, float or str; floats take ints but no bool;
+        prn is a dict or None."""
+        for name, f in self.__dataclass_fields__.items():
+            v = getattr(self, name)
+            if f.type is int:
+                ok = isinstance(v, numbers.Integral)
+            elif f.type is float:
+                ok = isinstance(v, numbers.Real)
+            elif f.type is dict:
+                ok = v is None or isinstance(v, dict)
+            else:
+                ok = isinstance(v, f.type)
+            if not ok or isinstance(v, (bool, np.bool_)):
+                raise ConfigError(f"{name} must be of type {f.type.__name__}, got {v!r}")
+
     def validate(self):
+        self._check_types()
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.assists not in ASSISTS:
@@ -195,7 +220,7 @@ class VsRsn(Module):
         s = sens.stacked() if isinstance(sens, SensitivitySet) else sens
         y, s = coil_arrays(len(y) if y.ndim == 4 else 1, mask.bits.shape, y, s)
         m0 = np.sum(np.conj(s) * ifft2c(np.where(mask.bits, y, 0.0)), axis=1)
-        m = Tensor(complex_to_channels_array(m0))
+        m = Tensor(complex_to_channels_array(m0).astype(y.real.dtype, copy=False))
         for block, fw in zip(self._blocks, self._weights):
             u = block(m, fft2_t(m))
             a_t, b_t = fw.alpha_t(), fw.beta_t()
@@ -209,9 +234,10 @@ class VsRsn(Module):
 # -- dataset staging -----------------------------------------------------
 
 def _stage(dataset):
-    """Convert stored float32 sample arrays to the float64 forms training
-    uses; one dict per sample.  A sample missing an array its dataset kind
-    needs raises ContainerError."""
+    """Convert stored float32 sample arrays to float64 forms; one dict per
+    sample.  Reconstruction and metrics use them as they are; a training
+    loop casts each batch to its own precision (``_forward_batch``).  A
+    sample missing an array its dataset kind needs raises ContainerError."""
     need = ("target", "us_kspace", "us_image") + (
         ("coil_kspace", "sens") if dataset.kind == "multi" else ())
     out = []
@@ -486,22 +512,51 @@ def _base_spec(spec):
 
 # -- core training loop --------------------------------------------------
 
+@contextlib.contextmanager
+def _training_precision(module):
+    """Cast module's parameters to TRAIN_DTYPE in place for the block, and
+    back to float64, gradients dropped, however the block ends."""
+    params = module.parameters()
+    for p in params:
+        p.data = p.data.astype(TRAIN_DTYPE)
+    try:
+        yield
+    finally:
+        for p in params:
+            p.data = p.data.astype(np.float64)
+            p.grad = None
+
+
+def _complex_of(real):
+    """The complex dtype of a real precision: complex64 for float32."""
+    return np.result_type(real, np.complex64)
+
+
 def _batched(order, batch):
     for i in range(0, len(order), batch):
         yield list(order[i:i + batch])
 
 
 def _forward_batch(model, spec, staged, ids, mask, feats=None, shifts=None):
+    """The model's output on one batch, cast to the precision of the
+    model's parameters: real arrays to it, spectra and coil maps to its
+    complex counterpart."""
+    real = model.parameters()[0].dtype
+    cplx = _complex_of(real)
     if spec.family == "vs_rsn":
-        return model(np.stack([staged[i]["y"] for i in ids]),
-                     np.stack([staged[i]["sens"].stacked() for i in ids]), mask)
+        y = np.stack([staged[i]["y"] for i in ids])
+        sens = np.stack([staged[i]["sens"].stacked() for i in ids])
+        return model(y.astype(cplx, copy=False), sens.astype(cplx, copy=False), mask)
     us_image, us_k, _, t1 = _batch_arrays(staged, ids, shifts)
     if spec.assists not in ("t1", "t1_golf"):
         t1 = None   # paired data carries t1 even when the model ignores it
+    if t1 is not None:
+        t1 = Tensor(t1.astype(real, copy=False))
     golf = None
     if feats is not None:
-        golf = Tensor(np.stack([feats[i] for i in ids]))
-    return model(Tensor(us_image), us_k, mask, t1=_maybe_tensor(t1), golf=golf)
+        golf = Tensor(np.stack([feats[i] for i in ids]).astype(real, copy=False))
+    return model(Tensor(us_image.astype(real, copy=False)),
+                 us_k.astype(cplx, copy=False), mask, t1=t1, golf=golf)
 
 
 def _loss_for(model, spec, staged, ids, mask, feats=None, shifts=None):
@@ -528,37 +583,39 @@ def _val_loss(model, spec, staged, val_ids, mask, batch, feats=None):
 
 def _fit(model, spec, staged, mask, lr, train_ids, val_ids, feats=None,
          shift_rng=None):
-    """One optimization run.  Returns (train_losses, val_losses, best_state,
-    best_epoch, best_val, init_val)."""
-    opt = ad.Adam(model.parameters(), lr=lr)
-    train_losses, val_losses = [], []
-    best_state, best_epoch, best_val = None, -1, math.inf
-    init_val = _val_loss(model, spec, staged, val_ids, mask, spec.batch, feats)
-    for epoch in range(spec.epochs):
-        order = np.random.default_rng((spec.seed, 1000 + epoch)).permutation(train_ids)
-        total, count = 0.0, 0
-        for batch_no, ids in enumerate(_batched(order, spec.batch)):
-            shifts = None
-            if shift_rng is not None and spec.t1_shift > 0:
-                shifts = shift_rng.integers(-spec.t1_shift, spec.t1_shift + 1,
-                                            size=(len(ids), 2))
-            opt.zero_grad()
-            loss = _loss_for(model, spec, staged, ids, mask, feats, shifts)
-            lval = float(loss.data)
-            if not math.isfinite(lval):
-                _abort("train", epoch, batch_no, model, lval)
-            loss.backward()
-            if not math.isfinite(float(global_grad_norm(model.parameters()))):
-                _abort("train", epoch, batch_no, model, lval)
-            opt.step()
-            total += lval * len(ids)
-            count += len(ids)
-        train_losses.append(total / count)
-        vloss = _val_loss(model, spec, staged, val_ids, mask, spec.batch, feats)
-        val_losses.append(vloss)
-        if vloss < best_val:
-            best_val, best_epoch = vloss, epoch
-            best_state = model.state_dict()
+    """One optimization run in TRAIN_DTYPE; the model is float64 again on
+    return.  Returns (train_losses, val_losses, best_state, best_epoch,
+    best_val, init_val); best_state holds float32 copies."""
+    with _training_precision(model):
+        opt = ad.Adam(model.parameters(), lr=lr)
+        train_losses, val_losses = [], []
+        best_state, best_epoch, best_val = None, -1, math.inf
+        init_val = _val_loss(model, spec, staged, val_ids, mask, spec.batch, feats)
+        for epoch in range(spec.epochs):
+            order = np.random.default_rng((spec.seed, 1000 + epoch)).permutation(train_ids)
+            total, count = 0.0, 0
+            for batch_no, ids in enumerate(_batched(order, spec.batch)):
+                shifts = None
+                if shift_rng is not None and spec.t1_shift > 0:
+                    shifts = shift_rng.integers(-spec.t1_shift, spec.t1_shift + 1,
+                                                size=(len(ids), 2))
+                opt.zero_grad()
+                loss = _loss_for(model, spec, staged, ids, mask, feats, shifts)
+                lval = float(loss.data)
+                if not math.isfinite(lval):
+                    _abort("train", epoch, batch_no, model, lval)
+                loss.backward()
+                if not math.isfinite(float(global_grad_norm(model.parameters()))):
+                    _abort("train", epoch, batch_no, model, lval)
+                opt.step()
+                total += lval * len(ids)
+                count += len(ids)
+            train_losses.append(total / count)
+            vloss = _val_loss(model, spec, staged, val_ids, mask, spec.batch, feats)
+            val_losses.append(vloss)
+            if vloss < best_val:
+                best_val, best_epoch = vloss, epoch
+                best_state = model.state_dict()
     return train_losses, val_losses, best_state, best_epoch, best_val, init_val
 
 
@@ -663,28 +720,31 @@ def _train_golf_module(spec, staged, train_ids, val_ids):
                         rng=np.random.default_rng(spec.seed + 1))
     gol_maps = {i: _gol_target(staged[i]["target_mag"], module.eps)
                 for i in train_ids + val_ids}
-    opt = ad.Adam(module.parameters(), lr=spec.lr)
+    xs = {i: staged[i]["target_mag"][None].astype(TRAIN_DTYPE)
+          for i in train_ids + val_ids}
     curves = {"train": [], "val": []}
-    for epoch in range(spec.epochs):
-        order = np.random.default_rng((spec.seed, 2000 + epoch)).permutation(train_ids)
-        total, count = 0.0, 0
-        for batch_no, ids in enumerate(_batched(order, spec.batch)):
-            opt.zero_grad()
-            x = np.stack([staged[i]["target_mag"] for i in ids])[:, None]
-            y = np.stack([gol_maps[i] for i in ids])
-            loss = mse_loss(module.predict_gol(Tensor(x)), y)
-            lval = float(loss.data)
-            if not math.isfinite(lval):
-                _abort("golf", epoch, batch_no, module, lval)
-            loss.backward()
-            opt.step()
-            total += lval * len(ids)
-            count += len(ids)
-        curves["train"].append(total / count)
-        xv = np.stack([staged[i]["target_mag"] for i in val_ids])[:, None]
-        yv = np.stack([gol_maps[i] for i in val_ids])
-        with ad.no_grad():
-            curves["val"].append(float(mse_loss(module.predict_gol(Tensor(xv)), yv).data))
+    with _training_precision(module):
+        opt = ad.Adam(module.parameters(), lr=spec.lr)
+        for epoch in range(spec.epochs):
+            order = np.random.default_rng((spec.seed, 2000 + epoch)).permutation(train_ids)
+            total, count = 0.0, 0
+            for batch_no, ids in enumerate(_batched(order, spec.batch)):
+                opt.zero_grad()
+                x = np.stack([xs[i] for i in ids])
+                y = np.stack([gol_maps[i] for i in ids])
+                loss = mse_loss(module.predict_gol(Tensor(x)), y)
+                lval = float(loss.data)
+                if not math.isfinite(lval):
+                    _abort("golf", epoch, batch_no, module, lval)
+                loss.backward()
+                opt.step()
+                total += lval * len(ids)
+                count += len(ids)
+            curves["train"].append(total / count)
+            xv = np.stack([xs[i] for i in val_ids])
+            yv = np.stack([gol_maps[i] for i in val_ids])
+            with ad.no_grad():
+                curves["val"].append(float(mse_loss(module.predict_gol(Tensor(xv)), yv).data))
     module.trained = True
     return module, curves
 
@@ -787,7 +847,9 @@ def train_prn(block, base_rec, dataset, epochs=3, batch=4, seed=0,
     """Adversarial training of a refiner on top of a frozen reconstruction
     model.  The critic (Adam) maximizes score(target) - score(refined) with
     a gradient penalty; the refiner (SGD) minimizes
-    w_adv * (-score(refined)) + w_dist * mse(refined, target).
+    w_adv * (-score(refined)) + w_dist * mse(refined, target).  The caller's
+    block trains in TRAIN_DTYPE and is float64 again on return or on
+    TrainAbortError.
     """
     if dataset.kind not in ("single", "paired"):
         raise ConfigError("refiner training needs single-coil data")
@@ -796,69 +858,72 @@ def train_prn(block, base_rec, dataset, epochs=3, batch=4, seed=0,
     train_ids, val_ids = dataset.indices("train"), dataset.indices("val")
     mask = dataset.mask
 
+    # the frozen base model's float64 reconstructions, and every other
+    # array the loop stacks, cast to the training precision once
     recon = {i: complex_to_channels_array(base_rec.reconstruct(staged[i], mask))
-             for i in train_ids + val_ids}
-    re_opt = ad.Sgd(block.re_parameters(), lr=lr_re)
-    critic_params = [p for n, p in block.named_parameters() if n.startswith("critic.")]
-    critic_opt = ad.Adam(critic_params, lr=lr_critic, beta1=0.5, beta2=0.9)
+             .astype(TRAIN_DTYPE) for i in train_ids}
+    targets = {i: staged[i]["target"].astype(TRAIN_DTYPE) for i in train_ids}
+    us_ks = {i: staged[i]["us_k"].astype(_complex_of(TRAIN_DTYPE)) for i in train_ids}
     eps_rng = np.random.default_rng((seed, 77))
 
     gen_curve, critic_curve, wasserstein = [], [], []
-    for epoch in range(epochs):
-        g_order = np.random.default_rng((seed, 3000 + epoch)).permutation(train_ids)
-        c_order = list(np.random.default_rng((seed, 4000 + epoch)).permutation(
-            np.repeat(train_ids, critic_steps)))
-        g_total = c_total = 0.0
-        g_count = c_count = 0
-        c_pos = 0
-        for batch_no, ids in enumerate(_batched(g_order, batch)):
-            for _ in range(critic_steps):
-                c_ids = c_order[c_pos:c_pos + len(ids)] or list(ids)
-                c_pos += len(c_ids)
-                real = np.stack([staged[i]["target"] for i in c_ids])
-                with_in = np.stack([recon[i] for i in c_ids])
-                us_k = np.stack([staged[i]["us_k"] for i in c_ids])
-                with ad.no_grad():
-                    fake = block.refine(Tensor(with_in), us_k, mask).data
-                eps = eps_rng.uniform(size=(len(c_ids), 1, 1, 1))
-                inter = eps * real + (1.0 - eps) * fake
+    with _training_precision(block):
+        re_opt = ad.Sgd(block.re_parameters(), lr=lr_re)
+        critic_params = [p for n, p in block.named_parameters() if n.startswith("critic.")]
+        critic_opt = ad.Adam(critic_params, lr=lr_critic, beta1=0.5, beta2=0.9)
+        for epoch in range(epochs):
+            g_order = np.random.default_rng((seed, 3000 + epoch)).permutation(train_ids)
+            c_order = list(np.random.default_rng((seed, 4000 + epoch)).permutation(
+                np.repeat(train_ids, critic_steps)))
+            g_total = c_total = 0.0
+            g_count = c_count = 0
+            c_pos = 0
+            for batch_no, ids in enumerate(_batched(g_order, batch)):
+                for _ in range(critic_steps):
+                    c_ids = c_order[c_pos:c_pos + len(ids)] or list(ids)
+                    c_pos += len(c_ids)
+                    target = np.stack([targets[i] for i in c_ids])
+                    with_in = np.stack([recon[i] for i in c_ids])
+                    us_k = np.stack([us_ks[i] for i in c_ids])
+                    with ad.no_grad():
+                        fake = block.refine(Tensor(with_in), us_k, mask).data
+                    eps = eps_rng.uniform(size=(len(c_ids), 1, 1, 1)).astype(TRAIN_DTYPE)
+                    inter = eps * target + (1.0 - eps) * fake
+                    block.zero_grad()
+                    s_fake = ad.mean_all(block.critic(Tensor(fake)))
+                    s_real = ad.mean_all(block.critic(Tensor(target)))
+                    gp = gradient_penalty(block.critic, inter)
+                    if not math.isfinite(float(gp.data)):
+                        _abort("critic", epoch, batch_no, block, float(gp.data))
+                    c_loss = ad.add(ad.sub(s_fake, s_real), ad.mul(gp, gp_coeff))
+                    cval = float(c_loss.data)
+                    if not math.isfinite(cval):
+                        _abort("critic", epoch, batch_no, block, cval)
+                    c_loss.backward()
+                    critic_opt.step()
+                    w_est = float(s_real.data) - float(s_fake.data)
+                    if not math.isfinite(w_est):
+                        _abort("critic", epoch, batch_no, block, w_est)
+                    wasserstein.append(w_est)
+                    c_total += cval
+                    c_count += 1
                 block.zero_grad()
-                s_fake = ad.mean_all(block.critic(Tensor(fake)))
-                s_real = ad.mean_all(block.critic(Tensor(real)))
-                gp = gradient_penalty(block.critic, inter)
-                if not math.isfinite(float(gp.data)):
-                    _abort("critic", epoch, batch_no, block, float(gp.data))
-                c_loss = ad.add(ad.sub(s_fake, s_real),
-                                ad.mul(gp, Tensor(np.asarray(gp_coeff, dtype=np.float64))))
-                cval = float(c_loss.data)
-                if not math.isfinite(cval):
-                    _abort("critic", epoch, batch_no, block, cval)
-                c_loss.backward()
-                critic_opt.step()
-                w_est = float(s_real.data) - float(s_fake.data)
-                if not math.isfinite(w_est):
-                    _abort("critic", epoch, batch_no, block, w_est)
-                wasserstein.append(w_est)
-                c_total += cval
-                c_count += 1
-            block.zero_grad()
-            with_in = np.stack([recon[i] for i in ids])
-            us_k = np.stack([staged[i]["us_k"] for i in ids])
-            target = np.stack([staged[i]["target"] for i in ids])
-            refined = block.refine(Tensor(with_in), us_k, mask)
-            adv = ad.neg(ad.mean_all(block.critic(refined)))
-            dist = mse_loss(refined, target)
-            g_loss = ad.add(ad.mul(adv, Tensor(np.asarray(block.w_adv))),
-                            ad.mul(dist, Tensor(np.asarray(block.w_dist))))
-            gval = float(g_loss.data)
-            if not math.isfinite(gval):
-                _abort("generator", epoch, batch_no, block, gval)
-            g_loss.backward()
-            re_opt.step()
-            g_total += gval
-            g_count += 1
-        gen_curve.append(g_total / max(1, g_count))
-        critic_curve.append(c_total / max(1, c_count))
+                with_in = np.stack([recon[i] for i in ids])
+                us_k = np.stack([us_ks[i] for i in ids])
+                target = np.stack([targets[i] for i in ids])
+                refined = block.refine(Tensor(with_in), us_k, mask)
+                adv = ad.neg(ad.mean_all(block.critic(refined)))
+                dist = mse_loss(refined, target)
+                g_loss = ad.add(ad.mul(adv, block.w_adv), ad.mul(dist, block.w_dist))
+                gval = float(g_loss.data)
+                if not math.isfinite(gval):
+                    _abort("generator", epoch, batch_no, block, gval)
+                g_loss.backward()
+                re_opt.step()
+                g_total += gval
+                g_count += 1
+            gen_curve.append(g_total / max(1, g_count))
+            critic_curve.append(c_total / max(1, c_count))
 
     refined_rec = Reconstructor(base_rec.spec, base_rec.model,
                                 stage1=base_rec.stage1, golf=base_rec.golf,

@@ -16,7 +16,10 @@ FFT module; tests/test_fourier.py enforces that.
 
 Because the centered DFT matrix is symmetric and unitary, the adjoint of the
 transform in the 2-channel real representation is simply the inverse
-transform, which gives the backward rules of fft2_t / ifft2_t.
+transform, which gives the backward rules of fft2_t / ifft2_t.  Those apply
+the real and imaginary parts of the matrices as real GEMMs straight on the
+(re, im) channels, in the channels' own precision: a float32 tensor is
+transformed in float32, with no complex copy.
 """
 
 import functools
@@ -47,6 +50,16 @@ def dft_matrix(n, sign):
     w = np.exp(sign * 2j * np.pi * (np.outer(j, j) % n) / n) / np.sqrt(n)
     w.flags.writeable = False
     return w
+
+
+@functools.lru_cache(maxsize=None)
+def _dft_parts(n, sign, dtype):
+    """(real, imaginary) parts of dft_matrix(n, sign) in a real dtype, read-only."""
+    w = dft_matrix(n, sign)
+    parts = (w.real.astype(dtype), w.imag.astype(dtype))
+    for p in parts:
+        p.flags.writeable = False
+    return parts
 
 
 def fft2c(z, sign=-1):
@@ -146,22 +159,34 @@ def channels_to_grid(t, domain):
 
 # -- differentiable transforms ------------------------------------------
 
+def _transform_channels(x, sign):
+    """F_H @ (r + i*s) @ F_W on [...,2,H,W] channels as eight real GEMMs."""
+    ah, bh = _dft_parts(x.shape[-2], sign, x.dtype)
+    aw, bw = _dft_parts(x.shape[-1], sign, x.dtype)
+    r, s = x[..., 0, :, :], x[..., 1, :, :]
+    tr = r @ aw
+    tr -= s @ bw
+    ti = r @ bw
+    ti += s @ aw
+    out = np.empty(x.shape, x.dtype)
+    out_r, out_i = out[..., 0, :, :], out[..., 1, :, :]
+    np.matmul(ah, tr, out=out_r)
+    out_r -= bh @ ti
+    np.matmul(bh, tr, out=out_i)
+    out_i += ah @ ti
+    return out
+
+
 def _transform_t(x, sign):
     if not isinstance(x, Tensor):
         x = Tensor(x)
     if x.ndim < 3 or x.shape[-3] != 2:
         raise DimensionError(f"fft ops expect [...,2,H,W], got {x.shape}")
-    z = channels_to_complex_array(x.data)
-    out = complex_to_channels_array(fft2c(z, sign))
-    if out.real.dtype != x.dtype:
-        out = out.astype(x.dtype)
 
     def backward(g, flow):
-        gz = channels_to_complex_array(g)
-        back = complex_to_channels_array(fft2c(gz, -sign)).astype(g.dtype)
-        ad._flow_add(flow, x, back)
+        ad._flow_add(flow, x, _transform_channels(g, -sign))
 
-    return ad._make(out, (x,), backward)
+    return ad._make(_transform_channels(x.data, sign), (x,), backward)
 
 
 def fft2_t(x):
@@ -181,9 +206,8 @@ def ifft2_t(x):
 
 def _axis_matrices(n, dtype):
     """Free real matrices initialized to the centered orthonormal inverse DFT."""
-    w = dft_matrix(n, +1)
-    return (w.real.astype(dtype), (-w.imag).astype(dtype),
-            w.imag.astype(dtype), w.real.astype(dtype))
+    re, im = _dft_parts(n, +1, dtype)
+    return re, -im, im, re
 
 
 class DTLayer(Module):

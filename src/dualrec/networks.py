@@ -428,7 +428,7 @@ class Critic(Module):
             t = ad.conv2d(Tensor(t), conv.w.data, conv.b.data,
                           stride=2, padding=1).data
             if i < 3:
-                masks.append(np.where(t > 0, 1.0, 0.2))
+                masks.append(np.where(t > 0, 1.0, 0.2).astype(t.dtype))
                 t = np.where(t > 0, t, 0.2 * t)
         n_avg = t.shape[1] * t.shape[2] * t.shape[3]
         g = Tensor(np.full(t.shape, 1.0 / n_avg, dtype=t.dtype))

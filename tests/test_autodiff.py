@@ -295,6 +295,22 @@ class TestStride1Conv:
         lhs, rhs = float(np.sum(cx * y)), float(np.sum(x * ty))
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
+    @_PROPERTY
+    @given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_upconv2x2_adjoint(self, bs, c, f, h, w, seed):
+        # <upconv2x2(x), y> == <x, A^T y>, A^T the stride-2 2x2 correlation
+        # of y with the same weights, written out on the 2x2 blocks of y
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(bs, c, h, w))
+        wt = rng.normal(size=(f, c, 2, 2))
+        y = rng.normal(size=(bs, f, 2 * h, 2 * w))
+        blocks = y.reshape(bs, f, h, 2, w, 2)
+        aty = np.einsum("bfiujv,fcuv->bcij", blocks, wt)
+        lhs = float(np.sum(ad.upconv2x2(Tensor(x), Tensor(wt)).data * y))
+        rhs = float(np.sum(x * aty))
+        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
     def test_backward_keeps_no_patch_matrix(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(4, 32, 64, 64)), requires_grad=True)
@@ -414,14 +430,15 @@ def tiny_multi(tmp_path_factory):
     return ds, cas._stage(ds)
 
 
-def _graph_ops(rng):
-    """Every op family once, on Parameters so each would record a node."""
-    x = Parameter(rng.normal(size=(2, 2, 8, 8)))
-    w = Parameter(rng.normal(size=(3, 2, 3, 3)))
-    b = Parameter(rng.normal(size=(3,)))
-    wt = Parameter(rng.normal(size=(3, 2, 2, 2)))
-    s = Parameter(np.asarray(0.7))
-    m = Parameter(rng.normal(size=(4, 4)))
+def _graph_ops(rng, dtype=np.float64):
+    """Every op family once, on Parameters of ``dtype`` so each would record
+    a node.  The complex constants (maps, spectra) stay complex128."""
+    x = Parameter(rng.normal(size=(2, 2, 8, 8)).astype(dtype))
+    w = Parameter(rng.normal(size=(3, 2, 3, 3)).astype(dtype))
+    b = Parameter(rng.normal(size=(3,)).astype(dtype))
+    wt = Parameter(rng.normal(size=(3, 2, 2, 2)).astype(dtype))
+    s = Parameter(np.asarray(0.7, dtype=dtype))
+    m = Parameter(rng.normal(size=(4, 4)).astype(dtype))
     mask = make_mask("cartesian", 8, 8, 2, seed=1)
     sens = gen_coil_maps(8, 8, 2, seed=1).stacked()
     us_k = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -465,6 +482,30 @@ def graph_nodes(monkeypatch):
 
     monkeypatch.setattr(ad, "_make", make)
     return count
+
+
+class TestFloat32:
+    """Every op on float32 inputs builds float32 nodes, routes float32
+    gradients and leaves float32 ``.grad``: no op promotes to float64."""
+
+    @pytest.mark.parametrize("name", sorted(_graph_ops(np.random.default_rng(0))))
+    def test_op_stays_float32(self, name, monkeypatch):
+        out = _graph_ops(np.random.default_rng(0), np.float32)[name]
+        nodes, stack = {}, [out]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        assert all(n.dtype == np.float32 for n in nodes.values())
+        routed = []
+        flow_add = ad._flow_add
+        monkeypatch.setattr(ad, "_flow_add", lambda flow, node, g:
+                            routed.append(g.dtype) or flow_add(flow, node, g))
+        out.backward()
+        assert routed and set(routed) == {np.dtype(np.float32)}
+        params = [n for n in nodes.values() if isinstance(n, Parameter)]
+        assert params and all(p.grad.dtype == np.float32 for p in params)
 
 
 class TestNoGrad:

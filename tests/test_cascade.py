@@ -113,6 +113,20 @@ class TestCascadeSpec:
         with pytest.raises(ConfigError):
             cas.CascadeSpec.from_dict(d)
 
+    @pytest.mark.parametrize("kw", [
+        {"n_b": "2"}, {"lr": "1e-3"}, {"epochs": None}, {"lam": [1]},
+        {"batch": 2.5}, {"n_b": True}, {"seed": "x"}, {"lr": True},
+        {"alpha": False}, {"prn": [1]}, {"family": 1},
+    ], ids=str)
+    def test_wrong_json_type_rejected(self, kw):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            cas.CascadeSpec.from_dict(dict(small_spec().to_dict(), **kw))
+
+    def test_ints_accepted_for_float_fields(self):
+        d = dict(small_spec().to_dict(), lam=4, alpha=2, lr=1)
+        spec = cas.CascadeSpec.from_dict(d)
+        assert (spec.lam, spec.alpha, spec.lr) == (4, 2, 1)
+
 
 class TestDcRsnForward:
     @pytest.mark.parametrize("mode", ["ki_then_ii", "ii_then_ki", "mean",
@@ -489,6 +503,98 @@ class TestPrn:
         with pytest.raises(TrainAbortError):
             cas.train_prn(block, trained_n1.model, ds_single, epochs=1,
                           critic_steps=1)
+
+
+@pytest.fixture
+def optimizer_steps(monkeypatch):
+    """(rule, parameter dtype, gradient dtype, Adam moment dtype) of every
+    optimizer step taken while the fixture is active."""
+    seen = []
+    adam, sgd = cas.ad.adam_step, cas.ad.sgd_step
+
+    def dtypes(param):
+        return param.data.dtype, None if param.grad is None else param.grad.dtype
+
+    def adam_step(param, state, *args, **kw):
+        seen.append(("adam",) + dtypes(param) + (state.m.dtype,))
+        return adam(param, state, *args, **kw)
+
+    def sgd_step(param, lr):
+        seen.append(("sgd",) + dtypes(param) + (None,))
+        return sgd(param, lr)
+
+    monkeypatch.setattr(cas.ad, "adam_step", adam_step)
+    monkeypatch.setattr(cas.ad, "sgd_step", sgd_step)
+    return seen
+
+
+def _assert_float32_steps(seen):
+    assert seen and any(grad is not None for _, _, grad, _ in seen)
+    for rule, param, grad, moment in seen:
+        assert param == np.float32 and grad in (np.float32, None), (rule, param, grad)
+        assert moment in (np.float32, None), (rule, moment)
+
+
+def _assert_float64(rec):
+    for part in (rec.model, rec.stage1, rec.golf, rec.prn):
+        if part is not None:
+            for name, p in part.named_parameters():
+                assert p.dtype == np.float64 and p.grad is None, name
+
+
+class TestTrainingPrecision:
+    @pytest.mark.parametrize("family", ["dc_rsn", "vs_rsn"])
+    def test_train_steps_in_float32(self, family, ds_single, ds_multi,
+                                    optimizer_steps):
+        ds = ds_multi if family == "vs_rsn" else ds_single
+        rep = cas.train(small_spec(family=family, epochs=1, seed=4), ds)
+        _assert_float32_steps(optimizer_steps)
+        _assert_float64(rep.model)
+        # the best-validation weights are float32 values held in float64
+        for name, p in rep.model.model.named_parameters():
+            assert np.array_equal(p.data.astype(np.float32), p.data), name
+
+    def test_two_stage_golf_steps_in_float32(self, ds_single, optimizer_steps):
+        rep = cas.train_two_stage_golf(
+            small_spec(assists="golf", epochs=1, seed=21), ds_single)
+        _assert_float32_steps(optimizer_steps)
+        _assert_float64(rep.model)
+        assert rep.model.stage1 is not None and rep.model.golf is not None
+
+    def test_train_prn_steps_in_float32(self, ds_single, trained_n1,
+                                        optimizer_steps):
+        from dualrec.networks import PrnBlock
+        block = PrnBlock(hidden=4, critic_base=4, rng=np.random.default_rng(2))
+        rep = cas.train_prn(block, trained_n1.model, ds_single, epochs=1,
+                            critic_steps=1)
+        assert {rule for rule, *_ in optimizer_steps} == {"adam", "sgd"}
+        _assert_float32_steps(optimizer_steps)
+        assert rep.model.prn is block
+        _assert_float64(rep.model)
+
+    def test_prn_block_float64_after_abort(self, ds_single, trained_n1):
+        from dualrec.networks import PrnBlock
+        block = PrnBlock(hidden=8, critic_base=4, rng=np.random.default_rng(1))
+        block.critic.c1.w.data[0, 0, 0, 0] = np.nan
+        with pytest.raises(TrainAbortError):
+            cas.train_prn(block, trained_n1.model, ds_single, epochs=1,
+                          critic_steps=1)
+        assert all(p.dtype == np.float64 for p in block.parameters())
+
+    def test_checkpoint_float64_and_reloads_bit_exact(self, ds_single, trained_n1):
+        from dualrec.phantoms import RtcContainer
+        box = RtcContainer.read(trained_n1.checkpoint)
+        weights = [arr for name, arr in box.entries.items() if name != "meta"]
+        assert weights and all(arr.dtype == np.float64 for arr in weights)
+        rec = cas.load_checkpoint(trained_n1.checkpoint)
+        staged = cas._stage(ds_single)
+        for s in staged:
+            assert np.array_equal(rec.reconstruct(s, ds_single.mask),
+                                  trained_n1.model.reconstruct(s, ds_single.mask))
+        # the reported metrics are the float64 rescore, to the last bit
+        report = cas.evaluate_model(rec, ds_single, "val")
+        assert report.mean("psnr_db") == trained_n1.final_psnr
+        assert report.mean("vif") == trained_n1.final_vif
 
 
 @pytest.fixture(scope="module")

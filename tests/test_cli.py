@@ -154,6 +154,11 @@ class TestTrainCmd:
         lambda c: c.pop("dataset"),
         lambda c: c["spec"].update(family="resnet"),
         lambda c: c["spec"].update(extra_field=1),
+        lambda c: c["spec"].update(n_b="2"),
+        lambda c: c["spec"].update(lr="1e-3"),
+        lambda c: c["spec"].update(epochs=None),
+        lambda c: c["spec"].update(batch=2.5),
+        lambda c: c["spec"].update(seed=True),
     ])
     def test_bad_config_exits_2(self, ds_dir, tmp_path, mutate, capsys):
         cfg = {"schema": 1, "spec": spec_dict(), "dataset": str(ds_dir),
@@ -298,6 +303,21 @@ class TestReconstructCmd:
         assert main(["reconstruct", "--checkpoint", str(bad), "--dataset",
                      str(ds_dir), "--out", str(tmp_path / "out")]) == 2
         assert "meta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [{"n_b": "2"}, {"lam": [1]}, {"seed": "x"}],
+                             ids=str)
+    def test_wrongly_typed_checkpoint_spec_exits_2(self, run_dir, ds_dir, tmp_path,
+                                                   capsys, bad):
+        box = RtcContainer.read(run_dir / "checkpoint.rtc")
+        meta = box.get_json("meta")
+        meta["spec"].update(bad)
+        del box.entries["meta"]
+        box.add_json("meta", meta)
+        path = tmp_path / "bad.rtc"
+        box.write(path)
+        assert main(["reconstruct", "--checkpoint", str(path), "--dataset",
+                     str(ds_dir), "--out", str(tmp_path / "out")]) == 2
+        assert next(iter(bad)) in capsys.readouterr().err
 
     def test_family_mismatch_exits_2(self, run_dir, ds_multi_dir):
         assert main(["reconstruct", "--checkpoint",

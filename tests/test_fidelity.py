@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import oracle_fft2, oracle_ifft2, random_complex
 from dualrec import autodiff as ad
@@ -15,6 +17,7 @@ from dualrec.errors import DimensionError, ParameterError
 from dualrec.fourier import ComplexGrid, fft2c
 
 SEEDS = list(range(20))
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def _mask(h, w, seed, density=0.4):
@@ -267,6 +270,20 @@ class TestGraphVersions:
             want = fid.df_single(imgs[i], ys[i], mask, lam)
             assert np.max(np.abs(out.data[i, 0] - want.re)) < 1e-12
             assert np.max(np.abs(out.data[i, 1] - want.im)) < 1e-12
+
+    @_PROPERTY
+    @given(st.integers(1, 3), st.integers(2, 17), st.integers(2, 17),
+           st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+    def test_df_single_t_idempotent_at_infinite_lam(self, b, h, w, density, seed):
+        # hard replacement twice is hard replacement once, for any mask
+        rng = np.random.default_rng(seed)
+        mask = mk.SamplingMask(rng.random((h, w)) < density, 2.0, "cartesian")
+        x = Tensor(rng.normal(size=(b, 2, h, w)))
+        us_k = rng.normal(size=(b, h, w)) + 1j * rng.normal(size=(b, h, w))
+        once = fid.df_single_t(x, us_k, mask)
+        twice = fid.df_single_t(once, us_k, mask)
+        scale = max(1.0, np.abs(once.data).max())
+        assert np.max(np.abs(twice.data - once.data)) < 1e-12 * scale
 
     def test_vs_x_update_t_and_wab_t_match_pure(self):
         """Two samples, each with its own coil maps and spectra: every coil

@@ -145,6 +145,19 @@ class TestDifferentiableTransforms:
         report = ad.grad_check(loss, {"x": x}, tolerance=1e-5)
         assert report.passed, report
 
+    @pytest.mark.parametrize("hw", GRIDS)
+    @pytest.mark.parametrize("op,sign", [(fo.fft2_t, -1), (fo.ifft2_t, +1)],
+                             ids=["fft2_t", "ifft2_t"])
+    def test_float32_matches_numpy_oracle(self, hw, op, sign):
+        # float32 channels are transformed in float32, to float32 accuracy
+        rng = np.random.default_rng(sum(hw))
+        x = rng.normal(size=(3, 2) + hw).astype(np.float32)
+        out = op(Tensor(x)).data
+        assert out.dtype == np.float32
+        want = centered_ortho_fft2_oracle(x[:, 0].astype(np.float64) + 1j * x[:, 1], sign)
+        assert np.max(np.abs(out[:, 0] - want.real)) < 1e-5
+        assert np.max(np.abs(out[:, 1] - want.imag)) < 1e-5
+
     def test_inverse_composition_is_identity(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 2, 32, 32)))
