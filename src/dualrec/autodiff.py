@@ -17,7 +17,7 @@ and routes float32 gradients (tests/test_autodiff.py checks every op).  A
 constant that enters a graph must carry its tensor's dtype, or be a Python
 scalar, because under NumPy 2 a float64 array, even a 0-d one, promotes the
 whole graph to float64.  Modules default to float64 parameters and
-``cascade._stage`` stages data in float64, so inference, checkpoints,
+``phantoms.Dataset.staged`` holds data in float64, so inference, checkpoints,
 metrics and the gradient checks run in float64.  Training runs in float32:
 the training loops of ``cascade`` cast the parameters and every batch to
 float32 for the duration of the loop and back to float64 afterwards.

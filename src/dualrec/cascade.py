@@ -10,13 +10,20 @@ Two families:
   the block as a denoiser, a per-coil least-squares spectrum update, and a
   sensitivity-weighted average with trainable positive weights.
 
+Every entry point reads a dataset through ``Dataset.staged``, so each
+dataset is staged once, and ``Reconstructor.forward`` is the one place that
+turns staged samples into model inputs: training, validation, scoring and
+the guidance features all go through it.
+
 Training is plain MSE + Adam, deterministic given the spec seed.  Every
 training loop runs its forward pass, backward pass and optimizer step in
 TRAIN_DTYPE (float32): it casts the parameters to float32 in place for the
-loop and back to float64 when the loop ends, however it ends.  Staged data,
-inference, checkpoints and metrics are float64.  Assisted
+loop and back to float64 when the loop ends, however it ends; ``forward``
+casts each batch to the parameters' precision.  Staged data, inference,
+checkpoints and metrics are float64.  Assisted
 variants: ``golf`` trains in two stages (base model, then a guidance-feature
-module, then a fresh injected model fed frozen features); ``t1`` stacks a
+module, then a fresh injected model fed frozen features, computed by the
+same ``Reconstructor._features`` that inference calls); ``t1`` stacks a
 registered companion contrast into the fusion input, optionally with random
 circular shifts for robustness; ``t1_golf`` combines both.  A refiner can be
 attached afterwards and trained adversarially.
@@ -37,11 +44,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import (ConfigError, ContainerError, DimensionError, ParameterError,
-                     StateError, TrainAbortError)
+from .errors import (ConfigError, DimensionError, ParameterError, StateError,
+                     TrainAbortError)
 from .fidelity import (FidelityWeights, SensitivitySet, coil_arrays, df_single_t,
                        vs_x_update_t, wab_t)
-from .fourier import ComplexGrid, complex_to_channels_array, fft2_t, ifft2c
+from .fourier import complex_to_channels_array, fft2_t, ifft2c
 from .layers import Module, global_grad_norm, mse_loss
 from .metrics import MetricReport, compare
 from .networks import (RSN_MODES, GolfModule, PrnBlock, RsnBlock, gol,
@@ -52,10 +59,26 @@ TRAIN_DTYPE = np.float32
 FAMILIES = ("dc_rsn", "vs_rsn")
 ASSISTS = ("none", "golf", "t1", "t1_golf")
 
-_PRN_KEYS = {"hidden", "w_adv", "w_dist", "critic_base", "epochs",
-             "lr_critic", "lr_re", "critic_steps", "gp_coeff"}
+_PRN_TYPES = {"hidden": int, "critic_base": int, "epochs": int,
+              "critic_steps": int, "w_adv": float, "w_dist": float,
+              "lr_critic": float, "lr_re": float, "gp_coeff": float}
 _GOLF_META = ("feature_depth", "base", "depth", "eps")
 _PRN_META = ("channels", "hidden", "w_adv", "w_dist", "critic_base")
+
+
+def _check_type(name, v, typ):
+    """ConfigError unless v is a JSON value of type typ: ints take no bool,
+    float or str; floats take ints but no bool; a dict field may be None."""
+    if typ is int:
+        ok = isinstance(v, numbers.Integral)
+    elif typ is float:
+        ok = isinstance(v, numbers.Real)
+    elif typ is dict:
+        ok = v is None or isinstance(v, dict)
+    else:
+        ok = isinstance(v, typ)
+    if not ok or isinstance(v, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be of type {typ.__name__}, got {v!r}")
 
 
 @dataclass
@@ -84,25 +107,9 @@ class CascadeSpec:
     batch: int = 4
     lr: float = 1e-3
 
-    def _check_types(self):
-        """ConfigError unless each field holds a value of its declared JSON
-        type: ints take no bool, float or str; floats take ints but no bool;
-        prn is a dict or None."""
-        for name, f in self.__dataclass_fields__.items():
-            v = getattr(self, name)
-            if f.type is int:
-                ok = isinstance(v, numbers.Integral)
-            elif f.type is float:
-                ok = isinstance(v, numbers.Real)
-            elif f.type is dict:
-                ok = v is None or isinstance(v, dict)
-            else:
-                ok = isinstance(v, f.type)
-            if not ok or isinstance(v, (bool, np.bool_)):
-                raise ConfigError(f"{name} must be of type {f.type.__name__}, got {v!r}")
-
     def validate(self):
-        self._check_types()
+        for name, f in self.__dataclass_fields__.items():
+            _check_type(name, getattr(self, name), f.type)
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.assists not in ASSISTS:
@@ -130,9 +137,11 @@ class CascadeSpec:
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if self.prn is not None:
-            unknown = set(self.prn) - _PRN_KEYS
+            unknown = set(self.prn) - set(_PRN_TYPES)
             if unknown:
                 raise ConfigError(f"unknown prn keys {sorted(unknown)}")
+            for name, v in self.prn.items():
+                _check_type(f"prn.{name}", v, _PRN_TYPES[name])
         return self
 
     def to_dict(self):
@@ -231,45 +240,6 @@ class VsRsn(Module):
         return m
 
 
-# -- dataset staging -----------------------------------------------------
-
-def _stage(dataset):
-    """Convert stored float32 sample arrays to float64 forms; one dict per
-    sample.  Reconstruction and metrics use them as they are; a training
-    loop casts each batch to its own precision (``_forward_batch``).  A
-    sample missing an array its dataset kind needs raises ContainerError."""
-    need = ("target", "us_kspace", "us_image") + (
-        ("coil_kspace", "sens") if dataset.kind == "multi" else ())
-    out = []
-    for rec in dataset.samples:
-        missing = [k for k in need if k not in rec]
-        if missing:
-            raise ContainerError(f"sample {rec['id']!r} has no {', '.join(missing)} entry")
-        s = {"id": rec["id"]}
-        usk = rec["us_kspace"].astype(np.float64)
-        s["us_k"] = usk[0] + 1j * usk[1]
-        s["us_image"] = rec["us_image"].astype(np.float64)
-        target = rec["target"].astype(np.float64)
-        if target.ndim == 2:
-            s["target"] = np.stack([target, np.zeros_like(target)])
-            s["target_mag"] = target
-        else:
-            s["target"] = target
-            s["target_mag"] = np.hypot(target[0], target[1])
-        if "t1" in rec:
-            t1 = rec["t1"].astype(np.float64)
-            s["t1"] = np.stack([t1, np.zeros_like(t1)])
-        if "coil_kspace" in rec:
-            ck = rec["coil_kspace"].astype(np.float64)
-            s["y"] = ck[:, 0] + 1j * ck[:, 1]
-            sm = rec["sens"].astype(np.float64)
-            s["sens"] = SensitivitySet(
-                [ComplexGrid(sm[i, 0], sm[i, 1], "image") for i in range(sm.shape[0])],
-                normalized=True)
-        out.append(s)
-    return out
-
-
 def _check_dataset(spec, dataset):
     kind = dataset.kind
     if spec.family == "vs_rsn" and kind != "multi":
@@ -282,28 +252,23 @@ def _check_dataset(spec, dataset):
         raise DimensionError(f"dataset size {dataset.size} != spec size {spec.size}")
 
 
-def _batch_arrays(staged, ids, shifts=None):
-    us_image = np.stack([staged[i]["us_image"] for i in ids])
-    us_k = np.stack([staged[i]["us_k"] for i in ids])
-    target = np.stack([staged[i]["target"] for i in ids])
-    t1 = None
-    if "t1" in staged[ids[0]]:
-        rows = []
-        for j, i in enumerate(ids):
-            arr = staged[i]["t1"]
-            if shifts is not None:
-                dy, dx = shifts[j]
-                arr = np.roll(arr, (dy, dx), axis=(-2, -1))
-            rows.append(arr)
-        t1 = np.stack(rows)
-    return us_image, us_k, target, t1
-
-
 def _normalize_mag(mag):
     scale = float(mag.max())
     if scale <= 0:
         return np.zeros_like(mag)
     return np.clip(mag / scale, 0.0, 1.0)
+
+
+def _complex_of(real):
+    """The complex dtype of a real precision: complex64 for float32."""
+    return np.result_type(real, np.complex64)
+
+
+def _batch(arrays, dtype):
+    """The arrays stacked on a new first axis, in dtype.  A batch of one is
+    a view, and so is the result when the dtype already matches."""
+    out = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+    return out.astype(dtype, copy=False)
 
 
 # -- reconstructor bundle ------------------------------------------------
@@ -319,47 +284,54 @@ class Reconstructor:
         self.golf = golf
         self.prn = prn
 
-    def _features(self, us_image, us_k, mask, t1):
-        """Guidance features from the frozen stage-1 reconstruction."""
+    def _features(self, staged, ids, mask):
+        """Guidance features [B,C,H,W] of samples ``ids``: the guidance
+        module on the normalized magnitude of the frozen stage-1 model's
+        output.  Training precomputes them here, one sample at a time, as
+        inference computes them, so both see the same numbers."""
         if self.stage1 is None or self.golf is None:
             raise StateError("model wants guidance features but the "
                              "checkpoint has no stage-1 model or guidance module")
         with ad.no_grad():
-            s1 = self.stage1(Tensor(us_image), us_k, mask, t1=_maybe_tensor(t1)).data
-            mags = np.hypot(s1[:, 0], s1[:, 1])
-            mags = np.stack([_normalize_mag(m) for m in mags])[:, None]
-            return self.golf.features(Tensor(mags)).data
+            s1 = Reconstructor(_base_spec(self.spec), self.stage1).forward(
+                staged, ids, mask).data
+            mags = np.stack([_normalize_mag(np.hypot(a[0], a[1])) for a in s1])
+            return self.golf.features(Tensor(mags[:, None])).data
 
-    def forward(self, us_image, us_k, mask, t1=None):
-        """Cascade output (before any refiner) as [B,2,H,W] tensor."""
-        golf = None
+    def forward(self, staged, ids, mask, feats=None, shifts=None):
+        """Cascade output (before any refiner) as a [B,2,H,W] tensor for the
+        samples ``staged[i]``, i in ids.  The inputs are cast to the precision
+        of the model's parameters (spectra and coil maps to its complex
+        counterpart).  t1 goes in when the spec asks for it, each row rolled
+        by its (dy, dx) in ``shifts``; guidance features come from ``feats``
+        ({i: [C,H,W]}) or else from ``_features``."""
+        real = self.model.parameters()[0].dtype
+        cplx = _complex_of(real)
+        rows = [staged[i] for i in ids]
+        if self.spec.family == "vs_rsn":
+            return self.model(_batch([s["y"] for s in rows], cplx),
+                              _batch([s["sens"].stacked() for s in rows], cplx), mask)
+        t1 = golf = None
+        if self.spec.assists in ("t1", "t1_golf") and "t1" in rows[0]:
+            t1s = [s["t1"] for s in rows]
+            if shifts is not None:
+                t1s = [np.roll(a, tuple(d), axis=(-2, -1)) for a, d in zip(t1s, shifts)]
+            t1 = Tensor(_batch(t1s, real))
         if self.spec.assists in ("golf", "t1_golf"):
-            golf = Tensor(self._features(us_image, us_k, mask, t1))
-        return self.model(Tensor(np.asarray(us_image)), us_k, mask,
-                          t1=_maybe_tensor(t1), golf=golf)
+            golf = Tensor(_batch([feats[i] for i in ids], real) if feats is not None
+                          else self._features(staged, ids, mask).astype(real, copy=False))
+        return self.model(Tensor(_batch([s["us_image"] for s in rows], real)),
+                          _batch([s["us_k"] for s in rows], cplx), mask, t1=t1, golf=golf)
 
     def reconstruct(self, sample, mask):
         """One staged sample -> complex [H,W] reconstruction (refiner
         applied when present).  Builds no autodiff graph."""
-        us_image = sample["us_image"][None]
-        us_k = sample["us_k"][None]
-        t1 = sample["t1"][None] if "t1" in sample and \
-            self.spec.assists in ("t1", "t1_golf") else None
         with ad.no_grad():
-            if self.spec.family == "vs_rsn":
-                out = self.model(sample["y"], sample["sens"], mask)
-            else:
-                out = self.forward(us_image, us_k, mask, t1=t1)
+            out = self.forward([sample], [0], mask)
             if self.prn is not None:
-                out = self.prn.refine(out, us_k, mask)
+                out = self.prn.refine(out, sample["us_k"][None], mask)
         arr = out.data[0]
         return arr[0] + 1j * arr[1]
-
-
-def _maybe_tensor(x):
-    if x is None or isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x))
 
 
 # -- reports -------------------------------------------------------------
@@ -527,42 +499,14 @@ def _training_precision(module):
             p.grad = None
 
 
-def _complex_of(real):
-    """The complex dtype of a real precision: complex64 for float32."""
-    return np.result_type(real, np.complex64)
-
-
 def _batched(order, batch):
     for i in range(0, len(order), batch):
         yield list(order[i:i + batch])
 
 
-def _forward_batch(model, spec, staged, ids, mask, feats=None, shifts=None):
-    """The model's output on one batch, cast to the precision of the
-    model's parameters: real arrays to it, spectra and coil maps to its
-    complex counterpart."""
-    real = model.parameters()[0].dtype
-    cplx = _complex_of(real)
-    if spec.family == "vs_rsn":
-        y = np.stack([staged[i]["y"] for i in ids])
-        sens = np.stack([staged[i]["sens"].stacked() for i in ids])
-        return model(y.astype(cplx, copy=False), sens.astype(cplx, copy=False), mask)
-    us_image, us_k, _, t1 = _batch_arrays(staged, ids, shifts)
-    if spec.assists not in ("t1", "t1_golf"):
-        t1 = None   # paired data carries t1 even when the model ignores it
-    if t1 is not None:
-        t1 = Tensor(t1.astype(real, copy=False))
-    golf = None
-    if feats is not None:
-        golf = Tensor(np.stack([feats[i] for i in ids]).astype(real, copy=False))
-    return model(Tensor(us_image.astype(real, copy=False)),
-                 us_k.astype(cplx, copy=False), mask, t1=t1, golf=golf)
-
-
-def _loss_for(model, spec, staged, ids, mask, feats=None, shifts=None):
-    out = _forward_batch(model, spec, staged, ids, mask, feats, shifts)
-    target = np.stack([staged[i]["target"] for i in ids])
-    return mse_loss(out, target)
+def _loss_for(rec, staged, ids, mask, feats=None, shifts=None):
+    out = rec.forward(staged, ids, mask, feats, shifts)
+    return mse_loss(out, np.stack([staged[i]["target"] for i in ids]))
 
 
 def _abort(stage, epoch, batch_no, model, last_loss):
@@ -573,24 +517,24 @@ def _abort(stage, epoch, batch_no, model, last_loss):
     raise TrainAbortError(f"non-finite loss in {stage}", epoch, batch_no, diag)
 
 
-def _val_loss(model, spec, staged, val_ids, mask, batch, feats=None):
+def _val_loss(rec, staged, val_ids, mask, batch, feats=None):
     total = 0.0
     with ad.no_grad():
         for ids in _batched(val_ids, batch):
-            total += float(_loss_for(model, spec, staged, ids, mask, feats).data) * len(ids)
+            total += float(_loss_for(rec, staged, ids, mask, feats).data) * len(ids)
     return total / max(1, len(val_ids))
 
 
-def _fit(model, spec, staged, mask, lr, train_ids, val_ids, feats=None,
-         shift_rng=None):
-    """One optimization run in TRAIN_DTYPE; the model is float64 again on
-    return.  Returns (train_losses, val_losses, best_state, best_epoch,
-    best_val, init_val); best_state holds float32 copies."""
+def _fit(rec, staged, mask, lr, train_ids, val_ids, feats=None, shift_rng=None):
+    """One optimization run of ``rec.model`` in TRAIN_DTYPE; the model is
+    float64 again on return.  Returns (train_losses, val_losses, best_state,
+    best_epoch, best_val, init_val); best_state holds float32 copies."""
+    model, spec = rec.model, rec.spec
     with _training_precision(model):
         opt = ad.Adam(model.parameters(), lr=lr)
         train_losses, val_losses = [], []
         best_state, best_epoch, best_val = None, -1, math.inf
-        init_val = _val_loss(model, spec, staged, val_ids, mask, spec.batch, feats)
+        init_val = _val_loss(rec, staged, val_ids, mask, spec.batch, feats)
         for epoch in range(spec.epochs):
             order = np.random.default_rng((spec.seed, 1000 + epoch)).permutation(train_ids)
             total, count = 0.0, 0
@@ -600,7 +544,7 @@ def _fit(model, spec, staged, mask, lr, train_ids, val_ids, feats=None,
                     shifts = shift_rng.integers(-spec.t1_shift, spec.t1_shift + 1,
                                                 size=(len(ids), 2))
                 opt.zero_grad()
-                loss = _loss_for(model, spec, staged, ids, mask, feats, shifts)
+                loss = _loss_for(rec, staged, ids, mask, feats, shifts)
                 lval = float(loss.data)
                 if not math.isfinite(lval):
                     _abort("train", epoch, batch_no, model, lval)
@@ -611,7 +555,7 @@ def _fit(model, spec, staged, mask, lr, train_ids, val_ids, feats=None,
                 total += lval * len(ids)
                 count += len(ids)
             train_losses.append(total / count)
-            vloss = _val_loss(model, spec, staged, val_ids, mask, spec.batch, feats)
+            vloss = _val_loss(rec, staged, val_ids, mask, spec.batch, feats)
             val_losses.append(vloss)
             if vloss < best_val:
                 best_val, best_epoch = vloss, epoch
@@ -635,44 +579,43 @@ def _final_metrics(rec, staged, val_ids, mask):
 
 def evaluate_model(rec, dataset, split="val"):
     """MetricReport of a Reconstructor over one dataset split."""
-    staged = _stage(dataset)
-    return _final_metrics(rec, staged, dataset.indices(split), dataset.mask)
+    return _final_metrics(rec, dataset.staged, dataset.indices(split), dataset.mask)
 
 
 def zero_filled_report(dataset, split="val"):
     """Baseline metrics of the stored zero-filled (or coil-combined) images."""
-    staged = _stage(dataset)
     report = MetricReport()
     for i in dataset.indices(split):
-        s = staged[i]
+        s = dataset.staged[i]
         mag = np.hypot(s["us_image"][0], s["us_image"][1])
         report.add(compare(mag, s["target_mag"], s["id"], data_range=1.0))
     return report
 
 
-def _fit_and_report(spec, staged, mask, train_ids, val_ids, t0, out_dir,
-                    feats=None, stage1=None, golf=None, extra=None,
-                    stage1_report=None):
+def _fit_and_report(spec, dataset, t0, out_dir, feats=None, stage1=None,
+                    golf=None, extra=None, stage1_report=None):
     """The tail shared by train and train_two_stage_golf.  Fits a fresh model;
     if the train loss rises during the first three epochs, halves the
     learning rate and restarts once.  Keeps the best-validation weights,
     scores them, writes the checkpoint when out_dir is given, and returns the
     TrainReport, whose ``extra`` holds init_val_loss and then ``extra``."""
+    staged, mask = dataset.staged, dataset.mask
+    train_ids, val_ids = dataset.indices("train"), dataset.indices("val")
 
     def run(lr):
-        model = build_model(spec, np.random.default_rng(spec.seed))
+        rec = Reconstructor(spec, build_model(spec, np.random.default_rng(spec.seed)),
+                            stage1=stage1, golf=golf)
         shift_rng = np.random.default_rng((spec.seed, 555)) if spec.t1_shift else None
-        return model, _fit(model, spec, staged, mask, lr, train_ids, val_ids,
-                           feats=feats, shift_rng=shift_rng)
+        return rec, _fit(rec, staged, mask, lr, train_ids, val_ids,
+                         feats=feats, shift_rng=shift_rng)
 
     lr_used, retried = spec.lr, False
-    model, result = run(lr_used)
+    rec, result = run(lr_used)
     if _train_loss_increased_early(result[0]):
         lr_used, retried = spec.lr / 2.0, True
-        model, result = run(lr_used)
+        rec, result = run(lr_used)
     train_losses, val_losses, best_state, best_epoch, best_val, init_val = result
-    model.load_state_dict(best_state)
-    rec = Reconstructor(spec, model, stage1=stage1, golf=golf)
+    rec.model.load_state_dict(best_state)
     metrics = _final_metrics(rec, staged, val_ids, mask)
     ckpt = None
     if out_dir is not None:
@@ -701,13 +644,9 @@ def train(spec, dataset, out_dir=None):
     if spec.assists in ("golf", "t1_golf"):
         raise ConfigError("guidance-assisted specs train via train_two_stage_golf")
     t0 = time.perf_counter()
-    staged = _stage(dataset)
-    train_ids = dataset.indices("train")
-    val_ids = dataset.indices("val")
-    if not train_ids or not val_ids:
+    if not dataset.indices("train") or not dataset.indices("val"):
         raise ConfigError("dataset needs nonempty train and val splits")
-    return _fit_and_report(spec, staged, dataset.mask, train_ids, val_ids, t0,
-                           out_dir)
+    return _fit_and_report(spec, dataset, t0, out_dir)
 
 
 # -- two-stage guidance training ----------------------------------------
@@ -718,7 +657,7 @@ def _train_golf_module(spec, staged, train_ids, val_ids):
     module = GolfModule(feature_depth=spec.golf_feature_depth,
                         base=spec.golf_base, depth=spec.golf_depth,
                         rng=np.random.default_rng(spec.seed + 1))
-    gol_maps = {i: _gol_target(staged[i]["target_mag"], module.eps)
+    gol_maps = {i: gol(staged[i]["target_mag"], eps=module.eps)
                 for i in train_ids + val_ids}
     xs = {i: staged[i]["target_mag"][None].astype(TRAIN_DTYPE)
           for i in train_ids + val_ids}
@@ -749,33 +688,18 @@ def _train_golf_module(spec, staged, train_ids, val_ids):
     return module, curves
 
 
-def _gol_target(mag, eps):
-    return gol(mag, eps=eps)
-
-
-def _stage1_features(stage1_rec, module, staged, ids, mask):
-    """Frozen guidance features per sample, computed once from the frozen
-    stage-1 reconstructions."""
-    feats = {}
-    with ad.no_grad():
-        for i in ids:
-            mag = _normalize_mag(np.abs(stage1_rec.reconstruct(staged[i], mask)))
-            feats[i] = module.features(Tensor(mag[None, None])).data[0]
-    return feats
-
-
 def train_two_stage_golf(spec, dataset, out_dir=None, stage1_checkpoint=None):
     """Stage 1: train the base model (or load it).  Then train the guidance
     module on (target -> gol(target)).  Stage 2: train a fresh injected
-    model on frozen features from stage-1 reconstructions."""
+    model on frozen features of the bare stage-1 model's reconstructions
+    (a stage-1 checkpoint's refiner is not used, as at inference)."""
     spec.validate()
     if spec.assists not in ("golf", "t1_golf"):
         raise ConfigError("train_two_stage_golf needs assists golf or t1_golf")
     _check_dataset(spec, dataset)
     t0 = time.perf_counter()
-    staged = _stage(dataset)
+    staged = dataset.staged
     train_ids, val_ids = dataset.indices("train"), dataset.indices("val")
-    mask = dataset.mask
 
     base = _base_spec(spec)
     stage1_report = None
@@ -789,15 +713,17 @@ def train_two_stage_golf(spec, dataset, out_dir=None, stage1_checkpoint=None):
         stage1_rec = stage1_report.model
 
     module, golf_curves = _train_golf_module(spec, staged, train_ids, val_ids)
-    feats = _stage1_features(stage1_rec, module, staged, train_ids + val_ids, mask)
+    guide = Reconstructor(spec, None, stage1=stage1_rec.model, golf=module)
+    feats = {i: guide._features(staged, [i], dataset.mask)[0]
+             for i in train_ids + val_ids}
 
     extra = {"golf_train_loss": golf_curves["train"],
              "golf_val_loss": golf_curves["val"],
              "stage1_best_val": None if stage1_report is None
              else stage1_report.best_val_loss}
-    return _fit_and_report(spec, staged, mask, train_ids, val_ids, t0, out_dir,
-                           feats=feats, stage1=stage1_rec.model, golf=module,
-                           extra=extra, stage1_report=stage1_report)
+    return _fit_and_report(spec, dataset, t0, out_dir, feats=feats,
+                           stage1=stage1_rec.model, golf=module, extra=extra,
+                           stage1_report=stage1_report)
 
 
 # -- shift-augmented t1 training ----------------------------------------
@@ -823,17 +749,15 @@ def t1_shift_metric_sweep(rec, dataset, max_shift=2, split="val", metric="ssim")
     Returns {(dy, dx): value}."""
     if max_shift < 0 or max_shift > dataset.size // 4:
         raise ParameterError(f"max_shift {max_shift} out of bounds")
-    staged = _stage(dataset)
     ids = dataset.indices(split)
-    mask = dataset.mask
     out = {}
     for dy in range(-max_shift, max_shift + 1):
         for dx in range(-max_shift, max_shift + 1):
             report = MetricReport()
             for i in ids:
-                s = dict(staged[i])
+                s = dict(dataset.staged[i])
                 s["t1"] = np.roll(s["t1"], (dy, dx), axis=(-2, -1))
-                mag = np.abs(rec.reconstruct(s, mask))
+                mag = np.abs(rec.reconstruct(s, dataset.mask))
                 report.add(compare(mag, s["target_mag"], s["id"], data_range=1.0))
             out[(dy, dx)] = report.mean(metric)
     return out
@@ -854,7 +778,7 @@ def train_prn(block, base_rec, dataset, epochs=3, batch=4, seed=0,
     if dataset.kind not in ("single", "paired"):
         raise ConfigError("refiner training needs single-coil data")
     t0 = time.perf_counter()
-    staged = _stage(dataset)
+    staged = dataset.staged
     train_ids, val_ids = dataset.indices("train"), dataset.indices("val")
     mask = dataset.mask
 

@@ -88,6 +88,13 @@ def cmd_train(args):
         raise ConfigError(
             f"assists {spec.assists!r} requires the config field "
             "'stage1_checkpoint' (train the base model first)")
+    block = None
+    if spec.prn is not None:   # built first, so a bad refiner config fails fast
+        block_keys = ("hidden", "w_adv", "w_dist", "critic_base")
+        block = PrnBlock(**{k: v for k, v in spec.prn.items() if k in block_keys},
+                         rng=np.random.default_rng(spec.seed + 9))
+        prn_args = {"epochs": spec.epochs, **{k: v for k, v in spec.prn.items()
+                                              if k not in block_keys}}
     dataset = load_dataset(cfg["dataset"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -101,20 +108,9 @@ def cmd_train(args):
                 stage1_checkpoint=cfg["stage1_checkpoint"])
         else:
             report = cas.train(spec, dataset, out_dir=out)
-        if spec.prn is not None:
-            prn = spec.prn
-            block = PrnBlock(hidden=prn.get("hidden", 32),
-                             w_adv=prn.get("w_adv", 1.0),
-                             w_dist=prn.get("w_dist", 0.1),
-                             critic_base=prn.get("critic_base", 16),
-                             rng=np.random.default_rng(spec.seed + 9))
-            report = cas.train_prn(
-                block, report.model, dataset,
-                epochs=prn.get("epochs", spec.epochs), batch=spec.batch,
-                seed=spec.seed, lr_critic=prn.get("lr_critic", 1e-4),
-                lr_re=prn.get("lr_re", 1e-3),
-                critic_steps=prn.get("critic_steps", 5),
-                gp_coeff=prn.get("gp_coeff", 10.0), out_dir=out)
+        if block is not None:
+            report = cas.train_prn(block, report.model, dataset, batch=spec.batch,
+                                   seed=spec.seed, out_dir=out, **prn_args)
     except TrainAbortError as exc:
         (out / "diagnostics.json").write_text(json.dumps(
             {"error": str(exc), "epoch": exc.epoch, "batch": exc.batch,
@@ -141,7 +137,7 @@ def cmd_reconstruct(args):
     cas._check_dataset(rec.spec, dataset)    # family vs kind, sizes
     ids = _reconstruct_ids(dataset, args.split)
     out = Path(args.out)
-    staged = cas._stage(dataset)
+    staged = dataset.staged
     if args.check:
         return _check_outputs(rec, dataset, staged, ids, out)
     out.mkdir(parents=True, exist_ok=True)
@@ -205,7 +201,7 @@ def cmd_evaluate(args):
         target_path.name == "manifest.json"
     if from_dataset:
         ds = load_dataset(args.target)
-        targets = {s["id"]: s["target_mag"] for s in cas._stage(ds)}
+        targets = {s["id"]: s["target_mag"] for s in ds.staged}
         orphans = sorted(set(recons) - set(targets))
         if orphans:
             raise ConfigError(f"recon ids missing from targets: {orphans}")

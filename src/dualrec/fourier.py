@@ -270,16 +270,3 @@ class DTLayer(Module):
             out = ad.add(out, self.inject(golf))
         skip = d if self.out_channels == 2 else d[:, 0:1]
         return ad.add(out, skip)
-
-
-def dt_forward(q, layer, golf=None):
-    """Apply a DTLayer to k-space channels; accepts [2,H,W] or [B,2,H,W]."""
-    if not isinstance(q, Tensor):
-        q = Tensor(q)
-    squeeze = q.ndim == 3
-    if squeeze:
-        q = q.reshape((1,) + q.shape)
-    out = layer(q, golf=golf)
-    if squeeze:
-        out = out.reshape(out.shape[1:])
-    return out

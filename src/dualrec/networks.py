@@ -335,14 +335,6 @@ class GolfModule(Module):
         return ad.relu(self.reducer(stacked))
 
 
-def golf_features(module, recon):
-    """Guidance features for a reconstruction magnitude [B,1,H,W] (values in
-    [0,1]); output [B,feature_depth,H,W].  Pure: no graph is built."""
-    with ad.no_grad():
-        out = module.features(recon if isinstance(recon, Tensor) else Tensor(np.asarray(recon)))
-    return out.data
-
-
 class PrnBlock(Module):
     """Residual five-layer refiner followed by hard spectrum replacement.
 
@@ -439,17 +431,6 @@ class Critic(Module):
             if i > 0:
                 g = ad.mul(g, Tensor(masks[i - 1]))
         return g
-
-
-def critic_score(critic, image):
-    """Score one image [C,H,W] or a batch [B,C,H,W]; returns float or [B]."""
-    arr = image.data if isinstance(image, Tensor) else np.asarray(image)
-    single = arr.ndim == 3
-    if single:
-        arr = arr[None]
-    with ad.no_grad():
-        out = critic(Tensor(arr)).data
-    return float(out[0]) if single else out
 
 
 def gradient_penalty(critic, interpolates):

@@ -23,6 +23,7 @@ spread around the field of view with gentle linear phase ramps, normalized
 pointwise so sum |S_i|^2 = 1.
 """
 
+import functools
 import json
 import math
 import struct
@@ -369,8 +370,57 @@ class Dataset:
     def indices(self, split):
         return [i for i, f in enumerate(self.manifest["files"]) if f["split"] == split]
 
+    @functools.cached_property
+    def staged(self):
+        """The samples in float64, one dict per sample, in the form every
+        training, inference and scoring path takes: ``id``; ``us_image``
+        [2,H,W]; complex ``us_k`` [H,W]; ``target`` [2,H,W] and
+        ``target_mag`` [H,W]; paired data adds ``t1`` [2,H,W] (imaginary
+        channel zero), multi-coil data complex ``y`` [n_c,H,W] and ``sens``
+        (a normalized SensitivitySet).  Built on first use and then shared
+        by every caller, so its arrays are read-only.  A sample missing an
+        array its kind needs raises ContainerError."""
+        return [_stage_sample(rec, self.kind) for rec in self.samples]
+
     def __len__(self):
         return len(self.samples)
+
+
+def _from_channels(a):
+    """Stored [...,2,H,W] channels as a complex128 array [...,H,W]."""
+    a = a.astype(np.float64)
+    return a[..., 0, :, :] + 1j * a[..., 1, :, :]
+
+
+def _real_channels(a):
+    return np.stack([a, np.zeros_like(a)])
+
+
+def _stage_sample(rec, kind):
+    need = ("target", "us_kspace", "us_image") + (
+        ("coil_kspace", "sens") if kind == "multi" else ())
+    missing = [k for k in need if k not in rec]
+    if missing:
+        raise ContainerError(f"sample {rec['id']!r} has no {', '.join(missing)} entry")
+    s = {"id": rec["id"], "us_k": _from_channels(rec["us_kspace"]),
+         "us_image": rec["us_image"].astype(np.float64)}
+    target = rec["target"].astype(np.float64)
+    if target.ndim == 2:
+        s["target"], s["target_mag"] = _real_channels(target), target
+    else:
+        s["target"], s["target_mag"] = target, np.hypot(target[0], target[1])
+    if "t1" in rec:
+        s["t1"] = _real_channels(rec["t1"].astype(np.float64))
+    if "coil_kspace" in rec:
+        s["y"] = _from_channels(rec["coil_kspace"])
+        maps = rec["sens"].astype(np.float64)
+        maps.flags.writeable = False    # the grids below are views of it
+        s["sens"] = SensitivitySet([ComplexGrid(m[0], m[1], "image") for m in maps],
+                                   normalized=True)
+    for v in s.values():
+        if isinstance(v, np.ndarray):
+            v.flags.writeable = False
+    return s
 
 
 _MANIFEST_KEYS = ("kind", "size", "accel", "mask_kind", "seed", "files")

@@ -440,7 +440,7 @@ def _local_ssim(rec, ds, staged):
 
 def test_criterion_07_t1_assistance(verdict, toy_paired, t1_runs):
     with_t1, plain = t1_runs
-    staged = cas._stage(toy_paired)
+    staged = toy_paired.staged
     local_t1 = _local_ssim(with_t1.model, toy_paired, staged)
     local_plain = _local_ssim(plain.model, toy_paired, staged)
     ok = with_t1.final_ssim >= plain.final_ssim and local_t1 > local_plain
@@ -467,7 +467,7 @@ def test_criterion_09_refiner_direction(verdict, toy_b, mode_runs):
                      rng=np.random.default_rng(41))
     rep = cas.train_prn(block, mode_runs["fu_with_us"].model, toy_b,
                         epochs=2, batch=4, seed=41, critic_steps=2)
-    staged = cas._stage(toy_b)
+    staged = toy_b.staged
     base = mode_runs["fu_with_us"].model
     worst = 0.0
     moved_sq = 0.0

@@ -419,7 +419,7 @@ def tiny_single(tmp_path_factory):
     root = tmp_path_factory.mktemp("nograd") / "ds"
     make_dataset("single", 5, 32, 4, "cartesian", seed=2, out_dir=root)
     ds = load_dataset(root)
-    return ds, cas._stage(ds)
+    return ds, ds.staged
 
 
 @pytest.fixture(scope="module")
@@ -427,7 +427,7 @@ def tiny_multi(tmp_path_factory):
     root = tmp_path_factory.mktemp("nograd_mc") / "ds"
     make_dataset("multi", 3, 32, 4, "cartesian", seed=4, n_coils=2, out_dir=root)
     ds = load_dataset(root)
-    return ds, cas._stage(ds)
+    return ds, ds.staged
 
 
 def _graph_ops(rng, dtype=np.float64):
@@ -546,7 +546,7 @@ class TestNoGrad:
         model = cas.build_model(spec, np.random.default_rng(spec.seed))
         cas.Reconstructor(spec, model).reconstruct(staged[0], ds.mask)
         assert all(p.grad is None for p in model.parameters())
-        loss = cas._loss_for(model, spec, staged, [0, 1], ds.mask)
+        loss = cas._loss_for(cas.Reconstructor(spec, model), staged, [0, 1], ds.mask)
         assert loss._parents
         loss.backward()
         assert all(p.grad is not None for p in model.parameters())
@@ -588,13 +588,13 @@ class TestNoGrad:
     def test_val_loss_matches_graph_forward_bitwise(self, tiny_single, graph_nodes):
         ds, staged = tiny_single
         spec = _tiny_spec()
-        model = cas.build_model(spec, np.random.default_rng(spec.seed))
+        rec = cas.Reconstructor(spec, cas.build_model(spec, np.random.default_rng(spec.seed)))
         ids = list(range(len(staged)))
         total = 0.0
         for batch in cas._batched(ids, 2):
-            loss = cas._loss_for(model, spec, staged, batch, ds.mask)
+            loss = cas._loss_for(rec, staged, batch, ds.mask)
             assert loss._parents
             total += float(loss.data) * len(batch)
         before = graph_nodes[0]
-        assert cas._val_loss(model, spec, staged, ids, ds.mask, 2) == total / len(ids)
+        assert cas._val_loss(rec, staged, ids, ds.mask, 2) == total / len(ids)
         assert graph_nodes[0] == before

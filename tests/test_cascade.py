@@ -1,6 +1,7 @@
 """Cascade models, training loops and checkpoints."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,6 +118,8 @@ class TestCascadeSpec:
         {"n_b": "2"}, {"lr": "1e-3"}, {"epochs": None}, {"lam": [1]},
         {"batch": 2.5}, {"n_b": True}, {"seed": "x"}, {"lr": True},
         {"alpha": False}, {"prn": [1]}, {"family": 1},
+        {"prn": {"hidden": "8"}}, {"prn": {"epochs": 2.0}},
+        {"prn": {"w_adv": "1"}}, {"prn": {"gp_coeff": True}},
     ], ids=str)
     def test_wrong_json_type_rejected(self, kw):
         with pytest.raises(ConfigError, match=next(iter(kw))):
@@ -153,7 +156,7 @@ class TestDcRsnForward:
     def test_three_blocks_differ_from_one_when_trained(self, ds_single,
                                                        trained_n1):
         rep3 = cas.train(small_spec(n_b=3, epochs=1), ds_single)
-        staged = cas._stage(ds_single)
+        staged = ds_single.staged
         s = staged[ds_single.indices("val")[0]]
         a = trained_n1.model.reconstruct(s, ds_single.mask)
         b = rep3.model.reconstruct(s, ds_single.mask)
@@ -349,7 +352,7 @@ class TestTrain:
         rep = cas.train(spec, ds_multi)
         assert np.isfinite(rep.train_loss).all()
         rec = cas.load_checkpoint(rep.checkpoint) if rep.checkpoint else rep.model
-        mag = np.abs(rec.reconstruct(cas._stage(ds_multi)[0], ds_multi.mask))
+        mag = np.abs(rec.reconstruct(ds_multi.staged[0], ds_multi.mask))
         assert mag.shape == (32, 32)
 
     def test_multi_coil_training_honours_batch(self, ds_multi, monkeypatch):
@@ -370,7 +373,31 @@ class TestTrain:
         del samples[1][entry]
         bad = Dataset(ds_multi.manifest, samples, ds_multi.root)
         with pytest.raises(ContainerError, match=entry):
-            cas._stage(bad)
+            bad.staged
+
+    def test_each_dataset_staged_once_and_read_only(self, ds_paired, monkeypatch):
+        from dualrec import phantoms
+        from dualrec.networks import PrnBlock
+        calls = []
+        stage = phantoms._stage_sample
+        monkeypatch.setattr(phantoms, "_stage_sample",
+                            lambda rec, kind: calls.append(rec["id"]) or stage(rec, kind))
+        ds = Dataset(ds_paired.manifest, ds_paired.samples, ds_paired.root)
+        rep = cas.train_two_stage_golf(
+            small_spec(assists="t1_golf", mode="fu", epochs=1), ds)
+        block = PrnBlock(hidden=4, critic_base=4, rng=np.random.default_rng(0))
+        cas.train_prn(block, rep.model, ds, epochs=1, critic_steps=1)
+        assert sorted(calls) == sorted(s["id"] for s in ds.samples)
+        for s in ds.staged:
+            for key in ("us_image", "us_k", "target", "target_mag", "t1"):
+                with pytest.raises(ValueError):
+                    s[key][..., 0, 0] = 0
+
+    def test_multi_coil_staged_arrays_read_only(self, ds_multi):
+        s = ds_multi.staged[0]
+        for arr in (s["y"], s["sens"].maps[0].re, s["sens"].maps[0].im):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
 
     def test_multi_coil_checkpoint_reloads_bit_exact(self, ds_multi, tmp_path):
         spec = small_spec(family="vs_rsn", epochs=1, seed=4)
@@ -381,7 +408,7 @@ class TestTrain:
         assert want["w0_log_alpha"].shape == got["w0_log_alpha"].shape == ()
         for name, p in want.items():
             assert got[name].data.tobytes() == p.data.tobytes(), name
-        staged = cas._stage(ds_multi)
+        staged = ds_multi.staged
         for i in range(len(staged)):
             a = rep.model.reconstruct(staged[i], ds_multi.mask)
             b = rec.reconstruct(staged[i], ds_multi.mask)
@@ -441,17 +468,47 @@ class TestTwoStageGolf:
         spec_plain = small_spec(mode="fu_with_us", epochs=1, seed=31)
         rep_t1 = cas.train(spec_t1, ds_paired)
         rep_plain = cas.train(spec_plain, ds_paired)
-        staged = cas._stage(ds_paired)
+        staged = ds_paired.staged
         ids = ds_paired.indices("val")
         module, _ = cas._train_golf_module(
             small_spec(assists="golf", epochs=1, seed=31), staged,
             ds_paired.indices("train"), ids)
-        fa = cas._stage1_features(rep_t1.model, module, staged, ids,
-                                  ds_paired.mask)
-        fb = cas._stage1_features(rep_plain.model, module, staged, ids,
-                                  ds_paired.mask)
-        diff = max(np.abs(fa[i] - fb[i]).max() for i in ids)
-        assert diff > 1e-9
+        guide_t1 = cas.Reconstructor(replace(spec_t1, assists="t1_golf"), None,
+                                     stage1=rep_t1.model.model, golf=module)
+        guide_plain = cas.Reconstructor(replace(spec_plain, assists="golf"), None,
+                                        stage1=rep_plain.model.model, golf=module)
+        fa = guide_t1._features(staged, ids, ds_paired.mask)
+        fb = guide_plain._features(staged, ids, ds_paired.mask)
+        assert np.abs(fa - fb).max() > 1e-9
+
+    def test_fit_features_are_the_inference_features(self, ds_single, prn_report,
+                                                     monkeypatch):
+        """A stage-1 checkpoint with a refiner: the features the fit trains on
+        are the ones reconstruct computes, to the last bit."""
+        assert cas.load_checkpoint(prn_report.checkpoint).prn is not None
+        fit_feats = {}
+        fit = cas._fit
+
+        def spy(rec, *args, feats=None, **kw):
+            fit_feats.update(feats)
+            return fit(rec, *args, feats=feats, **kw)
+
+        monkeypatch.setattr(cas, "_fit", spy)
+        rep = cas.train_two_stage_golf(small_spec(assists="golf", epochs=1),
+                                       ds_single,
+                                       stage1_checkpoint=prn_report.checkpoint)
+        seen = []
+        features = cas.Reconstructor._features
+
+        def record(self, staged, ids, mask):
+            seen.append(features(self, staged, ids, mask))
+            return seen[-1]
+
+        monkeypatch.setattr(cas.Reconstructor, "_features", record)
+        assert sorted(fit_feats) == list(range(len(ds_single)))
+        for i in fit_feats:
+            rep.model.reconstruct(ds_single.staged[i], ds_single.mask)
+            assert np.array_equal(seen[-1][0], fit_feats[i])
 
 
 @pytest.fixture(scope="module")
@@ -476,7 +533,7 @@ class TestPrn:
 
     def test_refined_outputs_keep_measured_frequencies(self, ds_single,
                                                        prn_report):
-        staged = cas._stage(ds_single)
+        staged = ds_single.staged
         mask = ds_single.mask
         for i in ds_single.indices("val"):
             out = prn_report.model.reconstruct(staged[i], mask)
@@ -587,7 +644,7 @@ class TestTrainingPrecision:
         weights = [arr for name, arr in box.entries.items() if name != "meta"]
         assert weights and all(arr.dtype == np.float64 for arr in weights)
         rec = cas.load_checkpoint(trained_n1.checkpoint)
-        staged = cas._stage(ds_single)
+        staged = ds_single.staged
         for s in staged:
             assert np.array_equal(rec.reconstruct(s, ds_single.mask),
                                   trained_n1.model.reconstruct(s, ds_single.mask))

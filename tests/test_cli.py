@@ -159,6 +159,9 @@ class TestTrainCmd:
         lambda c: c["spec"].update(epochs=None),
         lambda c: c["spec"].update(batch=2.5),
         lambda c: c["spec"].update(seed=True),
+        lambda c: c["spec"].update(prn={"hidden": "8"}),
+        lambda c: c["spec"].update(prn={"critic_steps": 1.5}),
+        lambda c: c["spec"].update(prn={"w_adv": 0.1, "w_dist": 0.5}),
     ])
     def test_bad_config_exits_2(self, ds_dir, tmp_path, mutate, capsys):
         cfg = {"schema": 1, "spec": spec_dict(), "dataset": str(ds_dir),
@@ -167,6 +170,7 @@ class TestTrainCmd:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(path)]) == 2
+        assert not (tmp_path / "out" / "checkpoint.rtc").exists()   # failed before training
 
     def test_missing_and_invalid_config_files(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "none.json")]) == 2
@@ -257,7 +261,7 @@ class TestReconstructCmd:
     def test_matches_library_bit_exact(self, recon_dir, run_dir, ds_dir):
         rec = cas.load_checkpoint(run_dir / "checkpoint.rtc")
         ds = load_dataset(ds_dir)
-        staged = cas._stage(ds)
+        staged = ds.staged
         i = ds.indices("val")[0]
         want = rec.reconstruct(staged[i], ds.mask)
         got = RtcContainer.read(recon_dir / f"{staged[i]['id']}.rtc").entries["image"]

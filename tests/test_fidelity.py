@@ -285,6 +285,27 @@ class TestGraphVersions:
         scale = max(1.0, np.abs(once.data).max())
         assert np.max(np.abs(twice.data - once.data)) < 1e-12 * scale
 
+    @_PROPERTY
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 17),
+           st.integers(2, 17), st.floats(0.0, 1.0), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_vs_x_update_t_keeps_measurements_at_infinite_lam(
+            self, b, n_c, h, w, density, shared, seed):
+        # every coil image's spectrum is y on the mask and F(S_i m) off it,
+        # for maps shared by the batch and for per-sample maps
+        rng = np.random.default_rng(seed)
+        mask = mk.SamplingMask(rng.random((h, w)) < density, 2.0, "cartesian")
+        m = rng.normal(size=(b, 2, h, w))
+        s_shape = (n_c, h, w) if shared else (b, n_c, h, w)
+        s = rng.normal(size=s_shape) + 1j * rng.normal(size=s_shape)
+        y = rng.normal(size=(b, n_c, h, w)) + 1j * rng.normal(size=(b, n_c, h, w))
+        x = fid.vs_x_update_t(Tensor(m), s, mask, y, math.inf, Tensor(np.asarray(1.0)))
+        assert x.shape == (b, n_c, 2, h, w)
+        got = fft2c(x.data[:, :, 0] + 1j * x.data[:, :, 1])
+        want = np.where(mask.bits, y, fft2c(s * (m[:, 0] + 1j * m[:, 1])[:, None]))
+        scale = max(1.0, np.abs(want).max())
+        assert np.max(np.abs(got - want)) < 1e-12 * scale
+
     def test_vs_x_update_t_and_wab_t_match_pure(self):
         """Two samples, each with its own coil maps and spectra: every coil
         of every sample agrees with the pure operators, for soft and hard DF."""

@@ -185,11 +185,11 @@ class TestDTLayer:
         rng = np.random.default_rng(0)
         layer = fo.DTLayer(n, rng=np.random.default_rng(5))
         z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        q = Tensor(np.stack([z.real, z.imag], axis=0))
-        out = fo.dt_forward(q, layer)
+        q = Tensor(np.stack([z.real, z.imag], axis=0)[None])
+        out = layer(q)
         want = fo.ifft2c(z)
-        err = max(np.max(np.abs(out.data[0] - want.real)),
-                  np.max(np.abs(out.data[1] - want.imag)))
+        err = max(np.max(np.abs(out.data[0, 0] - want.real)),
+                  np.max(np.abs(out.data[0, 1] - want.imag)))
         assert err < 1e-5
 
     def test_axis_transform_alone_equals_ifft(self):
@@ -222,12 +222,12 @@ class TestDTLayer:
         layer = fo.DTLayer(8, out_channels=1, rng=np.random.default_rng(1))
         rng = np.random.default_rng(4)
         z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        q = Tensor(np.stack([z.real, z.imag], axis=0))
-        out = fo.dt_forward(q, layer)
-        assert out.shape == (1, 8, 8)
-        assert np.max(np.abs(out.data[0] - fo.ifft2c(z).real)) < 1e-10
+        q = Tensor(np.stack([z.real, z.imag], axis=0)[None])
+        out = layer(q)
+        assert out.shape == (1, 1, 8, 8)
+        assert np.max(np.abs(out.data[0, 0] - fo.ifft2c(z).real)) < 1e-10
 
     def test_wrong_grid_size_rejected(self):
         layer = fo.DTLayer(16, rng=np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            fo.dt_forward(Tensor(np.zeros((2, 8, 8))), layer)
+            layer(Tensor(np.zeros((1, 2, 8, 8))))
