@@ -27,7 +27,11 @@ stride-1 ``conv2d`` (every convolution of the reconstruction networks)
 holds nothing beyond its input, a parent already: forward and both
 gradients are kh*kw shifted GEMMs over a zero-padded copy of the input,
 rebuilt in backward.  A strided ``conv2d`` (the critic) keeps its im2col
-patch matrix, kh*kw times its input, until backward.
+patch matrix, kh*kw times its input, until backward.  ``conv2d(...,
+slope=s)`` applies ReLU (s = 0) or LeakyReLU (0 < s < 1) in place on its
+output, so an activated conv keeps its activated output only: backward
+reads the derivative from the output's sign, and no pre-activation or mask
+lives in the graph.  ``maxpool2x2`` keeps uint8 argmax indices.
 ``conv_transpose2d``/``upconv2x2`` keep nothing extra and build a patch
 matrix of the incoming gradient during backward.
 
@@ -340,24 +344,37 @@ def square(a):
     return _make(a.data * a.data, (a,), backward)
 
 
+def _activate(y, slope):
+    """where(y > 0, y, slope*y) written into y; ReLU (slope 0) maps NaN to 0."""
+    if not 0 <= slope < 1:
+        raise ParameterError(f"activation slope must be in [0, 1), got {slope}")
+    if slope == 0:
+        np.fmax(y, 0, out=y)
+    else:
+        np.multiply(y, y.dtype.type(slope), out=y, where=~(y > 0))
+    return y
+
+
+def act_derivative(out, slope):
+    """d act/d pre as a factor for g, read from the activated output:
+    out > 0 exactly where pre > 0."""
+    if slope == 0:
+        return out > 0
+    return np.where(out > 0, 1.0, slope).astype(out.dtype)
+
+
 def relu(a):
-    a = _as_tensor(a)
-    mask = a.data > 0
-
-    def backward(g, flow):
-        _flow_add(flow, a, g * mask)
-
-    return _make(np.where(mask, a.data, 0.0), (a,), backward)
+    return leaky_relu(a, 0)
 
 
 def leaky_relu(a, slope=0.2):
     a = _as_tensor(a)
-    scale = np.where(a.data > 0, 1.0, slope).astype(a.dtype)
+    out = _activate(a.data.copy(), slope)
 
     def backward(g, flow):
-        _flow_add(flow, a, g * scale)
+        _flow_add(flow, a, g * act_derivative(out, slope))
 
-    return _make(a.data * scale, (a,), backward)
+    return _make(out, (a,), backward)
 
 
 # -- shape ops ----------------------------------------------------------
@@ -588,9 +605,10 @@ def _conv_dw_raw(g, cols, w_shape, ho, wo):
     return dw.reshape(f, c, kh, kw)
 
 
-def conv2d(x, w, b=None, stride=1, padding=0):
+def conv2d(x, w, b=None, stride=1, padding=0, slope=None):
     """2-d cross-correlation.  x:[B,C,H,W], w:[F,C,kh,kw] with odd kh,kw,
-    b:[F] or None.  Output [B,F,Ho,Wo]."""
+    b:[F] or None.  Output [B,F,Ho,Wo].  ``slope`` is the activation after
+    the bias add: None is linear, 0 is ReLU, 0 < slope < 1 is LeakyReLU."""
     x = _as_tensor(x)
     w = _as_tensor(w)
     if x.ndim != 4 or w.ndim != 4:
@@ -620,8 +638,12 @@ def conv2d(x, w, b=None, stride=1, padding=0):
             return (_conv_dx_raw(g, w.data, x.shape, stride, padding, ho, wo),
                     _conv_dw_raw(g, cols, w.shape, ho, wo))
     y = y + b.data.reshape(1, f, 1, 1) if b is not None else np.ascontiguousarray(y)
+    if slope is not None:
+        _activate(y, slope)
 
     def backward(g, flow):
+        if slope is not None:
+            g = g * act_derivative(y, slope)
         dx, dw = grads(g)
         _flow_add(flow, w, dw)
         _flow_add(flow, x, dx)
@@ -701,12 +723,13 @@ def maxpool2x2(x):
         raise DimensionError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
     win = x.data.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
     flat = win.reshape(b, c, h // 2, w // 2, 4)
-    idx = flat.argmax(axis=-1)  # argmax returns the first max: row-major tie rule
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    # argmax returns the first max: row-major tie rule
+    idx = flat.argmax(axis=-1)[..., None].astype(np.uint8)
+    out = np.take_along_axis(flat, idx, axis=-1)[..., 0]
 
     def backward(g, flow):
-        gf = np.zeros_like(flat)
-        np.put_along_axis(gf, idx[..., None], g[..., None], axis=-1)
+        gf = np.zeros((b, c, h // 2, w // 2, 4), dtype=x.dtype)
+        np.put_along_axis(gf, idx, g[..., None], axis=-1)
         gx = gf.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
         _flow_add(flow, x, gx)
 

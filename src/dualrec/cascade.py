@@ -62,13 +62,22 @@ ASSISTS = ("none", "golf", "t1", "t1_golf")
 _PRN_TYPES = {"hidden": int, "critic_base": int, "epochs": int,
               "critic_steps": int, "w_adv": float, "w_dist": float,
               "lr_critic": float, "lr_re": float, "gp_coeff": float}
+# lowest allowed value of a numeric field, and whether it is itself excluded;
+# a float with a range must also be finite
+_RANGES = {name: (1, False) for name in (
+    "n_b", "ki_hidden", "ii_base", "ii_depth", "fu_hidden", "golf_feature_depth",
+    "golf_base", "golf_depth", "epochs", "batch", "prn.hidden", "prn.critic_base",
+    "prn.epochs", "prn.critic_steps")}
+_RANGES.update({"seed": (0, False), "lr": (0, True), "prn.lr_critic": (0, True),
+                "prn.lr_re": (0, True), "prn.gp_coeff": (0, False)})
 _GOLF_META = ("feature_depth", "base", "depth", "eps")
 _PRN_META = ("channels", "hidden", "w_adv", "w_dist", "critic_base")
 
 
 def _check_type(name, v, typ):
     """ConfigError unless v is a JSON value of type typ: ints take no bool,
-    float or str; floats take ints but no bool; a dict field may be None."""
+    float or str; floats take ints but no bool; a dict field may be None.
+    A field listed in _RANGES must also lie in its range."""
     if typ is int:
         ok = isinstance(v, numbers.Integral)
     elif typ is float:
@@ -79,6 +88,11 @@ def _check_type(name, v, typ):
         ok = isinstance(v, typ)
     if not ok or isinstance(v, (bool, np.bool_)):
         raise ConfigError(f"{name} must be of type {typ.__name__}, got {v!r}")
+    if name in _RANGES:
+        lo, strict = _RANGES[name]
+        if not (v > lo if strict else v >= lo) or (typ is float and not math.isfinite(v)):
+            raise ConfigError(f"{name} must be {'>' if strict else '>='} {lo}"
+                              f"{' and finite' if typ is float else ''}, got {v!r}")
 
 
 @dataclass
@@ -116,8 +130,6 @@ class CascadeSpec:
             raise ConfigError(f"assists must be one of {ASSISTS}, got {self.assists!r}")
         if self.mode not in RSN_MODES:
             raise ConfigError(f"mode must be one of {RSN_MODES}, got {self.mode!r}")
-        if self.n_b < 1:
-            raise ConfigError(f"n_b must be >= 1, got {self.n_b}")
         if self.size < 32:
             raise ConfigError("size must be >= 32 (metric windows need it)")
         if self.size % (2 ** self.ii_depth):
@@ -132,10 +144,6 @@ class CascadeSpec:
             raise ConfigError("lam must be positive or inf")
         if self.t1_shift < 0 or self.t1_shift > self.size // 4:
             raise ConfigError(f"t1_shift must be in [0, {self.size // 4}]")
-        if self.epochs < 1 or self.batch < 1:
-            raise ConfigError("epochs and batch must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
         if self.prn is not None:
             unknown = set(self.prn) - set(_PRN_TYPES)
             if unknown:

@@ -238,7 +238,7 @@ class DTLayer(Module):
         self.m2_ir, self.m2_ii = Parameter(ir), Parameter(ii)
         if rng is None:
             rng = np.random.default_rng(0)
-        self.refine1 = Conv2d(2, hidden, 3, padding=1, rng=rng, dtype=dtype)
+        self.refine1 = Conv2d(2, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
         self.refine2 = Conv2d(hidden, out_channels, 3, padding=1, zero_init=True, dtype=dtype)
         self.inject = None
         if golf_channels:
@@ -263,7 +263,7 @@ class DTLayer(Module):
 
     def forward(self, k, golf=None):
         d = self.axis_transform(k)
-        out = self.refine2(ad.relu(self.refine1(d)))
+        out = self.refine2(self.refine1(d))
         if golf is not None:
             if self.inject is None:
                 raise ParameterError("layer was built without guidance channels")

@@ -75,11 +75,17 @@ class Module:
 
 
 class Conv2d(Module):
+    """Convolution with an optional fused activation: ``slope`` None is
+    linear, 0 is ReLU, 0 < slope < 1 is LeakyReLU (see ``autodiff.conv2d``).
+    The activation holds no parameter, so state dicts do not see it."""
+
     def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0,
-                 bias=True, zero_init=False, rng=None, dtype=np.float64):
+                 bias=True, zero_init=False, rng=None, dtype=np.float64,
+                 slope=None):
         super().__init__()
         self.stride = stride
         self.padding = padding
+        self.slope = slope
         shape = (out_ch, in_ch, kernel, kernel)
         if zero_init:
             w = np.zeros(shape, dtype=dtype)
@@ -91,7 +97,8 @@ class Conv2d(Module):
         self.b = Parameter(np.zeros(out_ch, dtype=dtype)) if bias else None
 
     def forward(self, x):
-        return ad.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
+        return ad.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding,
+                         slope=self.slope)
 
 
 class UpConv2x2(Module):

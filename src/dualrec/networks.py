@@ -19,6 +19,9 @@ The block vocabulary:
   spectrum replacement, plus the critic used to train it adversarially.
 
 Complex images travel as 2-channel (re, im) tensors of shape [B,2,H,W].
+Every convolution followed by an activation is one ``Conv2d`` built with a
+``slope`` (ReLU, or LeakyReLU 0.2 in the critic), so a training graph keeps
+the activated outputs only.
 """
 
 import numpy as np
@@ -60,15 +63,15 @@ def gol(image, eps=1e-6):
 
 
 class DoubleConv(Module):
-    """Two 3x3 convolutions, each followed by ReLU."""
+    """Two 3x3 convolutions, each with a fused ReLU."""
 
     def __init__(self, in_ch, out_ch, rng, dtype=np.float64):
         super().__init__()
-        self.c1 = Conv2d(in_ch, out_ch, 3, padding=1, rng=rng, dtype=dtype)
-        self.c2 = Conv2d(out_ch, out_ch, 3, padding=1, rng=rng, dtype=dtype)
+        self.c1 = Conv2d(in_ch, out_ch, 3, padding=1, rng=rng, dtype=dtype, slope=0)
+        self.c2 = Conv2d(out_ch, out_ch, 3, padding=1, rng=rng, dtype=dtype, slope=0)
 
     def forward(self, x):
-        return ad.relu(self.c2(ad.relu(self.c1(x))))
+        return self.c2(self.c1(x))
 
 
 class UNet(Module):
@@ -162,18 +165,14 @@ class FuNet(Module):
             rng = np.random.default_rng(0)
         self.in_ch = in_ch
         self.out_ch = out_ch
-        self.c1 = Conv2d(in_ch, hidden, 3, padding=1, rng=rng, dtype=dtype)
-        self.c2 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype)
-        self.c3 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype)
-        self.c4 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype)
+        self.c1 = Conv2d(in_ch, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
+        self.c2 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
+        self.c3 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
+        self.c4 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
         self.c5 = Conv2d(hidden, out_ch, 3, padding=1, rng=rng, dtype=dtype)
 
     def forward(self, x):
-        t = ad.relu(self.c1(x))
-        t = ad.relu(self.c2(t))
-        t = ad.relu(self.c3(t))
-        t = ad.relu(self.c4(t))
-        return self.c5(t)
+        return self.c5(self.c4(self.c3(self.c2(self.c1(x)))))
 
     @classmethod
     def averaging(cls, n_groups, out_ch, avg_groups=2, hidden=32, rng=None,
@@ -316,7 +315,7 @@ class GolfModule(Module):
         self.unet = UNet(1, 2, base=base, depth=depth, residual=False,
                          rng=rng, dtype=dtype)
         total = sum(base * (2 ** i) for i in range(depth))
-        self.reducer = Conv2d(total, feature_depth, 1, rng=rng, dtype=dtype)
+        self.reducer = Conv2d(total, feature_depth, 1, rng=rng, dtype=dtype, slope=0)
         self.trained = False
 
     def predict_gol(self, x):
@@ -332,7 +331,7 @@ class GolfModule(Module):
         _, level_maps = self.unet(x, return_features=True)
         parts = [bilinear_resize(f.data, h, w) for f in level_maps]
         stacked = Tensor(np.concatenate(parts, axis=1))
-        return ad.relu(self.reducer(stacked))
+        return self.reducer(stacked)
 
 
 class PrnBlock(Module):
@@ -353,19 +352,15 @@ class PrnBlock(Module):
             rng = np.random.default_rng(0)
         self.w_adv = w_adv
         self.w_dist = w_dist
-        self.c1 = Conv2d(channels, hidden, 3, padding=1, rng=rng, dtype=dtype)
-        self.c2 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype)
-        self.c3 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype)
-        self.c4 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype)
+        self.c1 = Conv2d(channels, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
+        self.c2 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
+        self.c3 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
+        self.c4 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
         self.c5 = Conv2d(hidden, channels, 3, padding=1, zero_init=True, dtype=dtype)
         self.critic = Critic(in_ch=channels, base=critic_base, rng=rng, dtype=dtype)
 
     def re_net(self, x):
-        t = ad.relu(self.c1(x))
-        t = ad.relu(self.c2(t))
-        t = ad.relu(self.c3(t))
-        t = ad.relu(self.c4(t))
-        return ad.add(x, self.c5(t))
+        return ad.add(x, self.c5(self.c4(self.c3(self.c2(self.c1(x))))))
 
     def re_parameters(self):
         return [p for name, p in self.named_parameters()
@@ -388,17 +383,15 @@ class Critic(Module):
         if rng is None:
             rng = np.random.default_rng(0)
         widths = (base, 2 * base, 4 * base)
-        self.c1 = Conv2d(in_ch, widths[0], 3, stride=2, padding=1, rng=rng, dtype=dtype)
-        self.c2 = Conv2d(widths[0], widths[1], 3, stride=2, padding=1, rng=rng, dtype=dtype)
-        self.c3 = Conv2d(widths[1], widths[2], 3, stride=2, padding=1, rng=rng, dtype=dtype)
-        self.c4 = Conv2d(widths[2], 1, 3, stride=2, padding=1, rng=rng, dtype=dtype)
+        conv = dict(stride=2, padding=1, rng=rng, dtype=dtype)
+        self.c1 = Conv2d(in_ch, widths[0], 3, slope=0.2, **conv)
+        self.c2 = Conv2d(widths[0], widths[1], 3, slope=0.2, **conv)
+        self.c3 = Conv2d(widths[1], widths[2], 3, slope=0.2, **conv)
+        self.c4 = Conv2d(widths[2], 1, 3, **conv)
 
     def forward(self, x):
         """x [B,C,H,W] -> scores [B]."""
-        t = ad.leaky_relu(self.c1(x), 0.2)
-        t = ad.leaky_relu(self.c2(t), 0.2)
-        t = ad.leaky_relu(self.c3(t), 0.2)
-        return ad.mean_axes(self.c4(t), (1, 2, 3))
+        return ad.mean_axes(self.c4(self.c3(self.c2(self.c1(x)))), (1, 2, 3))
 
     def input_gradient(self, x):
         """Gradient of the summed scores with respect to x, built as a graph
@@ -415,13 +408,12 @@ class Critic(Module):
         convs = (self.c1, self.c2, self.c3, self.c4)
         masks, sizes = [], []
         t = x.data
-        for i, conv in enumerate(convs):
+        for conv in convs:
             sizes.append(t.shape[2:])
-            t = ad.conv2d(Tensor(t), conv.w.data, conv.b.data,
-                          stride=2, padding=1).data
-            if i < 3:
-                masks.append(np.where(t > 0, 1.0, 0.2).astype(t.dtype))
-                t = np.where(t > 0, t, 0.2 * t)
+            t = ad.conv2d(Tensor(t), conv.w.data, conv.b.data, stride=2,
+                          padding=1, slope=conv.slope).data
+            if conv.slope is not None:
+                masks.append(ad.act_derivative(t, conv.slope))
         n_avg = t.shape[1] * t.shape[2] * t.shape[3]
         g = Tensor(np.full(t.shape, 1.0 / n_avg, dtype=t.dtype))
         for i in range(3, -1, -1):

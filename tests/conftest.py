@@ -6,6 +6,14 @@ realized with explicit index shifts.
 """
 
 import numpy as np
+from hypothesis import settings
+
+# Every property test in the suite: derandomized, with no example database,
+# and no per-example deadline.  A test that needs more examples says so in its
+# own @settings.
+settings.register_profile("dualrec", max_examples=60, deadline=None,
+                          derandomize=True, database=None)
+settings.load_profile("dualrec")
 
 
 def oracle_fft2(z):

@@ -125,6 +125,25 @@ class TestCascadeSpec:
         with pytest.raises(ConfigError, match=next(iter(kw))):
             cas.CascadeSpec.from_dict(dict(small_spec().to_dict(), **kw))
 
+    @pytest.mark.parametrize("kw", [
+        {"ki_hidden": 0}, {"ii_base": 0}, {"ii_depth": 0}, {"fu_hidden": 0},
+        {"golf_feature_depth": 0}, {"golf_base": -1}, {"golf_depth": 0},
+        {"seed": -1}, {"n_b": 0}, {"batch": 0}, {"lr": float("inf")},
+        {"lr": float("nan")}, {"prn": {"hidden": 0}}, {"prn": {"critic_base": 0}},
+        {"prn": {"epochs": 0}}, {"prn": {"critic_steps": 0}},
+        {"prn": {"lr_critic": 0.0}}, {"prn": {"lr_re": -1e-3}},
+        {"prn": {"lr_re": float("inf")}}, {"prn": {"gp_coeff": -1.0}},
+        {"prn": {"gp_coeff": float("nan")}},
+    ], ids=str)
+    def test_out_of_range_rejected(self, kw):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            cas.CascadeSpec.from_dict(dict(small_spec().to_dict(), **kw))
+
+    def test_range_edges_accepted(self):
+        d = dict(small_spec().to_dict(), seed=0, ki_hidden=1, fu_hidden=1,
+                 prn={"hidden": 1, "epochs": 1, "critic_steps": 1, "gp_coeff": 0})
+        assert cas.CascadeSpec.from_dict(d).seed == 0
+
     def test_ints_accepted_for_float_fields(self):
         d = dict(small_spec().to_dict(), lam=4, alpha=2, lr=1)
         spec = cas.CascadeSpec.from_dict(d)

@@ -162,6 +162,16 @@ class TestTrainCmd:
         lambda c: c["spec"].update(prn={"hidden": "8"}),
         lambda c: c["spec"].update(prn={"critic_steps": 1.5}),
         lambda c: c["spec"].update(prn={"w_adv": 0.1, "w_dist": 0.5}),
+        lambda c: c["spec"].update(ki_hidden=0),
+        lambda c: c["spec"].update(ii_base=0),
+        lambda c: c["spec"].update(fu_hidden=0),
+        lambda c: c["spec"].update(seed=-1),
+        lambda c: c["spec"].update(lr=float("inf")),
+        lambda c: c["spec"].update(prn={"hidden": 0}),
+        lambda c: c["spec"].update(prn={"epochs": 0}),
+        lambda c: c["spec"].update(prn={"critic_steps": 0}),
+        lambda c: c["spec"].update(prn={"lr_re": -1e-3}),
+        lambda c: c["spec"].update(prn={"gp_coeff": -1.0}),
     ])
     def test_bad_config_exits_2(self, ds_dir, tmp_path, mutate, capsys):
         cfg = {"schema": 1, "spec": spec_dict(), "dataset": str(ds_dir),

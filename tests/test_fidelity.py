@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import oracle_fft2, oracle_ifft2, random_complex
@@ -17,7 +17,6 @@ from dualrec.errors import DimensionError, ParameterError
 from dualrec.fourier import ComplexGrid, fft2c
 
 SEEDS = list(range(20))
-_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def _mask(h, w, seed, density=0.4):
@@ -271,7 +270,6 @@ class TestGraphVersions:
             assert np.max(np.abs(out.data[i, 0] - want.re)) < 1e-12
             assert np.max(np.abs(out.data[i, 1] - want.im)) < 1e-12
 
-    @_PROPERTY
     @given(st.integers(1, 3), st.integers(2, 17), st.integers(2, 17),
            st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
     def test_df_single_t_idempotent_at_infinite_lam(self, b, h, w, density, seed):
@@ -285,7 +283,6 @@ class TestGraphVersions:
         scale = max(1.0, np.abs(once.data).max())
         assert np.max(np.abs(twice.data - once.data)) < 1e-12 * scale
 
-    @_PROPERTY
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 17),
            st.integers(2, 17), st.floats(0.0, 1.0), st.booleans(),
            st.integers(0, 2 ** 32 - 1))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import dualrec
@@ -20,7 +20,6 @@ SEEDS = list(range(20))
 GRIDS = [pytest.param((h, w), id=str(h) if h == w else f"{h}x{w}")
          for h, w in ((16, 16), (32, 32), (64, 64), (12, 12), (13, 13),
                       (12, 16), (13, 8), (64, 32))]
-_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def centered_ortho_fft2_oracle(z, sign=-1):
@@ -164,7 +163,6 @@ class TestDifferentiableTransforms:
         out = fo.ifft2_t(fo.fft2_t(x))
         assert np.max(np.abs(out.data - x.data)) < 1e-12
 
-    @_PROPERTY
     @given(st.integers(1, 3), st.integers(2, 33), st.integers(2, 33),
            st.integers(0, 2 ** 32 - 1))
     def test_unitary_on_any_grid(self, b, h, w, seed):

@@ -361,7 +361,45 @@ class TestPrnBlock:
             block.refine(Tensor(chan(recon)), us_k, mask)
 
 
+def _penalty_written_out(critic, x):
+    """gradient_penalty with the LeakyReLU 0.2 and slope masks of
+    Critic.input_gradient written out by np.where, independent of the fused
+    conv activation."""
+    convs = (critic.c1, critic.c2, critic.c3, critic.c4)
+    masks, sizes, t = [], [], x
+    for i, conv in enumerate(convs):
+        sizes.append(t.shape[2:])
+        t = ad.conv2d(Tensor(t), conv.w.data, conv.b.data, stride=2, padding=1).data
+        if i < 3:
+            masks.append(np.where(t > 0, 1.0, 0.2).astype(t.dtype))
+            t = np.where(t > 0, t, 0.2 * t)
+    g = Tensor(np.full(t.shape, 1.0 / (t.shape[1] * t.shape[2] * t.shape[3]), dtype=t.dtype))
+    for i in range(3, -1, -1):
+        g = ad.conv_transpose2d(g, ad.transpose(convs[i].w, (1, 0, 2, 3)), stride=2,
+                                padding=1, output_size=sizes[i])
+        if i > 0:
+            g = ad.mul(g, Tensor(masks[i - 1]))
+    norms = ad.sqrt(ad.sum_axes(ad.square(g), (1, 2, 3)))
+    return ad.mean_all(ad.square(ad.sub(norms, Tensor(np.ones_like(norms.data)))))
+
+
 class TestCritic:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gradient_penalty_bitwise_as_written_out(self, dtype):
+        critic = nw.Critic(base=4, rng=np.random.default_rng(8), dtype=dtype)
+        x = np.random.default_rng(9).normal(size=(2, 2, 16, 16)).astype(dtype)
+        runs = []
+        for penalty in (nw.gradient_penalty, _penalty_written_out):
+            critic.zero_grad()
+            gp = penalty(critic, x)
+            gp.backward()
+            # the biases only set the slope masks, so only the weights get grads
+            runs.append([gp.data] + [p.grad for name, p in critic.named_parameters()
+                                     if name.endswith(".w")])
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_score_finite_and_pure(self):
         critic = nw.Critic(rng=np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).normal(size=(1, 2, 64, 64)))

@@ -114,7 +114,7 @@ def rtc_file(tmp_path_factory):
 
 
 class TestRtcDamage:
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400)
     @given(data=st.data())
     def test_damaged_bytes_read_or_raise_container_error(self, rtc_file, data):
         """A truncation, or 1-3 overwritten bytes, either still reads or
