@@ -24,16 +24,20 @@ float32 for the duration of the loop and back to float64 afterwards.
 
 A graph keeps each op's parents plus what its backward closure holds.  A
 stride-1 ``conv2d`` (every convolution of the reconstruction networks)
-holds nothing beyond its input, a parent already: forward and both
-gradients are kh*kw shifted GEMMs over a zero-padded copy of the input,
-rebuilt in backward.  A strided ``conv2d`` (the critic) keeps its im2col
-patch matrix, kh*kw times its input, until backward.  ``conv2d(...,
-slope=s)`` applies ReLU (s = 0) or LeakyReLU (0 < s < 1) in place on its
-output, so an activated conv keeps its activated output only: backward
-reads the derivative from the output's sign, and no pre-activation or mask
-lives in the graph.  ``maxpool2x2`` keeps uint8 argmax indices.
-``conv_transpose2d``/``upconv2x2`` keep nothing extra and build a patch
-matrix of the incoming gradient during backward.
+holds nothing beyond its input, a parent already.  Its forward and both
+gradients work one sample at a time: kh*kw shifted GEMMs over one
+zero-padded copy of the sample, rebuilt in backward, so their scratch is
+one sample's size.  Backward applies the activation derivative and sums
+the bias gradient inside that per-sample loop.  A strided ``conv2d`` (the
+critic) keeps its im2col patch matrix, kh*kw times its input, until
+backward.  Neither kind computes dx for a constant input (no grad, no
+parents).  ``conv2d(..., slope=s)`` applies ReLU (s = 0) or LeakyReLU
+(0 < s < 1) in place on its output, so an activated conv keeps its
+activated output only: backward reads the derivative from the output's
+sign, and no pre-activation or mask lives in the graph.  ``maxpool2x2``
+keeps uint8 argmax indices.  ``conv_transpose2d``/``upconv2x2`` keep
+nothing extra and build a patch matrix of the incoming gradient during
+backward.
 
 Inference that never calls ``backward`` should run under ``no_grad()``.
 Inside that context every op returns a bare Tensor with no parents and no
@@ -512,51 +516,93 @@ def matmul(a, b):
 
 
 # -- spatial ops ----------------------------------------------------------
-# A stride-1 conv2d keeps no buffer for backward: it runs as shifted GEMMs
-# over the padded input.  Strided conv2d keeps its im2col ``cols``; the
-# transposed convs build theirs from the incoming gradient in backward.
+# A stride-1 conv2d keeps no buffer for backward and works one sample at a
+# time, as kh*kw shifted GEMMs over one reused copy of the sample, zero-padded
+# into a flat [C, Hp*Wp + kw-1] buffer: tap (u,v) reads the window
+# [s, s + Ho*Wp) with s = u*Wp + v, and the last Wp-Wo columns of each window
+# row are junk.  Its backward multiplies each sample's gradient by the
+# activation derivative and adds that sample's bias-gradient sum inside the
+# same loop, so no batch-sized scratch exists besides the returned dx.
+# Strided conv2d keeps its im2col ``cols``; the transposed convs build theirs
+# from the incoming gradient in backward.
 
-def _pad_flat(x, padding, kw):
-    """[B,C,H,W] -> zero-padded [B, C, Hp*Wp + kw-1], Hp, Wp.  Tap (u,v) of a
-    stride-1 kernel is then the window [s, s + Ho*Wp) with s = u*Wp + v; the
-    last Wp-Wo columns of each window row are junk."""
-    b, c, h, w = x.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    xf = np.zeros((b, c, hp * wp + kw - 1), dtype=x.dtype)
-    xf[:, :, :hp * wp].reshape(b, c, hp, wp)[:, :, padding:padding + h, padding:padding + w] = x
-    return xf, hp, wp
+def _window(flat, hp, wp, top, h, w):
+    """View of the h x w block at row and column ``top`` of a flat
+    [C, Hp*Wp + ...] buffer."""
+    return flat[:, :hp * wp].reshape(-1, hp, wp)[:, top:top + h, top:top + w]
 
 
 def _conv_s1_forward(x, w, padding):
+    """Stride-1 conv2d, one sample at a time, as a [B,F,Ho,Wo] view of a
+    [B,F,Ho*Wp] accumulator whose last Wp-Wo columns per row are junk."""
+    bsz, c, h, wd = x.shape
     f, _, kh, kw = w.shape
-    xf, hp, wp = _pad_flat(x, padding, kw)
+    hp, wp = h + 2 * padding, wd + 2 * padding
     ho = hp - kh + 1
+    n = ho * wp
     taps = [(w[:, :, u, v], u * wp + v) for u, v in np.ndindex(kh, kw)]
-    y = np.matmul(taps[0][0], xf[:, :, :ho * wp])
-    tmp = np.empty_like(y)
-    for w_uv, s in taps[1:]:
-        y += np.matmul(w_uv, xf[:, :, s:s + ho * wp], out=tmp)
-    return y.reshape(-1, f, ho, wp)[..., :wp - kw + 1]
+    xf = np.zeros((c, hp * wp + kw - 1), dtype=x.dtype)
+    y = np.empty((bsz, f, n), dtype=np.result_type(w, x))
+    tmp = np.empty((f, n), dtype=y.dtype)
+    for i in range(bsz):
+        _window(xf, hp, wp, padding, h, wd)[...] = x[i]
+        np.matmul(taps[0][0], xf[:, :n], out=y[i])
+        for w_uv, s in taps[1:]:
+            y[i] += np.matmul(w_uv, xf[:, s:s + n], out=tmp)
+    return y.reshape(bsz, f, ho, wp)[..., :wp - kw + 1]
 
 
-def _conv_s1_backward(g, x, w, padding):
-    """(dx, dw) of the stride-1 conv2d, from x rather than a patch matrix."""
-    b, c, h, wd = x.shape
-    f, _, kh, kw = w.shape
-    xf, hp, wp = _pad_flat(x, padding, kw)
-    g_pad = np.zeros(g.shape[:3] + (wp,), dtype=g.dtype)
-    g_pad[..., :g.shape[3]] = g
-    g_pad = g_pad.reshape(b, f, -1)
-    n = g_pad.shape[2]
-    dw = np.empty(w.shape, dtype=g.dtype)
+def _conv_s1_dx(gf, w, xf, wp):
+    """One sample's dx, laid out like its padded input xf, from its flat
+    padded gradient gf [F, Ho*Wp]."""
+    kh, kw = w.shape[2:]
+    n = gf.shape[1]
     dxf = np.zeros_like(xf)
-    tmp = np.empty((b, c, n), dtype=g.dtype)
+    tmp = np.empty((xf.shape[0], n), dtype=gf.dtype)
     for u, v in np.ndindex(kh, kw):
         s = u * wp + v
-        dw[:, :, u, v] = np.matmul(g_pad, xf[:, :, s:s + n].transpose(0, 2, 1)).sum(axis=0)
-        dxf[:, :, s:s + n] += np.matmul(w[:, :, u, v].T, g_pad, out=tmp)
-    dx = dxf[:, :, :hp * wp].reshape(b, c, hp, wp)[:, :, padding:padding + h, padding:padding + wd]
-    return dx, dw
+        dxf[:, s:s + n] += np.matmul(w[:, :, u, v].T, gf, out=tmp)
+    return dxf
+
+
+def _conv_s1_backward(g, x, w, padding, y, slope, need_dx, need_db):
+    """(dx, dw, db) of the stride-1 conv2d, from x rather than a patch
+    matrix, one sample at a time.  With a slope, each sample's gradient is
+    first multiplied by the activation derivative read from the output y,
+    and if need_db its sum over the image is added to the bias gradient db.
+    dx is None unless need_dx, db None unless slope and need_db."""
+    bsz, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    ho, wo = g.shape[2:]
+    n = ho * wp
+    xf = np.zeros((c, hp * wp + kw - 1), dtype=x.dtype)
+    gf = np.zeros((f, n), dtype=g.dtype)
+    dw_taps = np.empty((kh, kw, bsz, f, c), dtype=np.result_type(g, x))
+    db = np.zeros(f, dtype=g.dtype) if slope is not None and need_db else None
+    dx = np.empty(x.shape, dtype=x.dtype) if need_dx and bsz > 1 else None
+    for i in range(bsz):
+        _window(xf, hp, wp, padding, h, wd)[...] = x[i]
+        gi = g[i]
+        if slope is not None:
+            gi = gi * act_derivative(y[i], slope)
+            if db is not None:
+                db += gi.sum(axis=(1, 2))
+        _window(gf, ho, wp, 0, ho, wo)[...] = gi
+        del gi      # a masked copy is freed before dx's buffers are made
+        for u, v in np.ndindex(kh, kw):
+            s = u * wp + v
+            np.matmul(gf, xf[:, s:s + n].T, out=dw_taps[u, v, i])
+        if need_dx:
+            dxi = _window(_conv_s1_dx(gf, w, xf, wp), hp, wp, padding, h, wd)
+            if bsz == 1:    # a view of the padded buffer, as no copy is needed
+                dx = dxi[None]
+            else:
+                dx[i] = dxi
+    dw = np.empty(w.shape, dtype=g.dtype)
+    for u, v in np.ndindex(kh, kw):     # each tap summed over the batch at once
+        dw[:, :, u, v] = dw_taps[u, v].sum(axis=0)
+    return dx, dw, db
 
 
 def _im2col(x, kh, kw, stride, padding):
@@ -628,27 +674,32 @@ def conv2d(x, w, b=None, stride=1, padding=0, slope=None):
     if stride == 1:
         y = _conv_s1_forward(x.data, w.data, padding)
 
-        def grads(g):
-            return _conv_s1_backward(g, x.data, w.data, padding)
+        def grads(g, s, need_dx):
+            return _conv_s1_backward(g, x.data, w.data, padding, y, s, need_dx, b is not None)
     else:
         cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
         y = np.matmul(w.data.reshape(f, -1), cols).reshape(x.shape[0], f, ho, wo)
 
-        def grads(g):
-            return (_conv_dx_raw(g, w.data, x.shape, stride, padding, ho, wo),
-                    _conv_dw_raw(g, cols, w.shape, ho, wo))
+        def grads(g, s, need_dx):
+            dx = _conv_dx_raw(g, w.data, x.shape, stride, padding, ho, wo) if need_dx else None
+            return dx, _conv_dw_raw(g, cols, w.shape, ho, wo), None
     y = y + b.data.reshape(1, f, 1, 1) if b is not None else np.ascontiguousarray(y)
     if slope is not None:
         _activate(y, slope)
 
     def backward(g, flow):
-        if slope is not None:
-            g = g * act_derivative(y, slope)
-        dx, dw = grads(g)
+        s = slope
+        if s is not None and (stride != 1 or f == 1):
+            # the whole masked gradient: numpy sums a one-filter bias gradient
+            # in one pairwise pass over the batch, unlike a per-sample total
+            g, s = g * act_derivative(y, s), None
+        # a constant input (no grad, no parents) needs no dx
+        dx, dw, db = grads(g, s, x.requires_grad or bool(x._parents))
         _flow_add(flow, w, dw)
-        _flow_add(flow, x, dx)
+        if dx is not None:
+            _flow_add(flow, x, dx)
         if b is not None:
-            _flow_add(flow, b, g.sum(axis=(0, 2, 3)))
+            _flow_add(flow, b, g.sum(axis=(0, 2, 3)) if db is None else db)
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(y, parents, backward)

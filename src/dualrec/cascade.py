@@ -34,6 +34,7 @@ module, refiner) so a checkpoint is always self-sufficient.
 """
 
 import contextlib
+import inspect
 import math
 import numbers
 import time
@@ -68,8 +69,9 @@ _RANGES = {name: (1, False) for name in (
     "n_b", "ki_hidden", "ii_base", "ii_depth", "fu_hidden", "golf_feature_depth",
     "golf_base", "golf_depth", "epochs", "batch", "prn.hidden", "prn.critic_base",
     "prn.epochs", "prn.critic_steps")}
-_RANGES.update({"seed": (0, False), "lr": (0, True), "prn.lr_critic": (0, True),
-                "prn.lr_re": (0, True), "prn.gp_coeff": (0, False)})
+_RANGES.update({name: (0, True) for name in (
+    "lr", "alpha", "beta", "prn.lr_critic", "prn.lr_re", "prn.w_adv", "prn.w_dist")})
+_RANGES.update({"seed": (0, False), "prn.gp_coeff": (0, False)})
 _GOLF_META = ("feature_depth", "base", "depth", "eps")
 _PRN_META = ("channels", "hidden", "w_adv", "w_dist", "critic_base")
 
@@ -132,9 +134,11 @@ class CascadeSpec:
             raise ConfigError(f"mode must be one of {RSN_MODES}, got {self.mode!r}")
         if self.size < 32:
             raise ConfigError("size must be >= 32 (metric windows need it)")
-        if self.size % (2 ** self.ii_depth):
+        # a 2^depth above size cannot divide it, so huge depths build no 2^depth
+        bits = int(self.size).bit_length()
+        if self.size % (2 ** min(self.ii_depth, bits)):
             raise ConfigError(f"size {self.size} not divisible by 2^{self.ii_depth}")
-        if self.assists in ("golf", "t1_golf") and self.size % (2 ** self.golf_depth):
+        if self.assists in ("golf", "t1_golf") and self.size % (2 ** min(self.golf_depth, bits)):
             raise ConfigError(f"size {self.size} not divisible by 2^{self.golf_depth}")
         if self.assists != "none" and self.family != "dc_rsn":
             raise ConfigError("assisted variants are defined for the dc_rsn family")
@@ -145,11 +149,17 @@ class CascadeSpec:
         if self.t1_shift < 0 or self.t1_shift > self.size // 4:
             raise ConfigError(f"t1_shift must be in [0, {self.size // 4}]")
         if self.prn is not None:
+            if self.family != "dc_rsn":
+                raise ConfigError("the prn refiner trains on single-coil dc_rsn models")
             unknown = set(self.prn) - set(_PRN_TYPES)
             if unknown:
                 raise ConfigError(f"unknown prn keys {sorted(unknown)}")
             for name, v in self.prn.items():
                 _check_type(f"prn.{name}", v, _PRN_TYPES[name])
+            block = inspect.signature(PrnBlock).parameters
+            w_adv, w_dist = (self.prn.get(k, block[k].default) for k in ("w_adv", "w_dist"))
+            if not w_adv > w_dist:
+                raise ConfigError(f"prn needs w_adv > w_dist, got {w_adv}, {w_dist}")
         return self
 
     def to_dict(self):
@@ -564,6 +574,8 @@ def _fit(rec, staged, mask, lr, train_ids, val_ids, feats=None, shift_rng=None):
                 count += len(ids)
             train_losses.append(total / count)
             vloss = _val_loss(rec, staged, val_ids, mask, spec.batch, feats)
+            if not math.isfinite(vloss):    # weights a finite step made non-finite
+                _abort("validation", epoch, None, model, vloss)
             val_losses.append(vloss)
             if vloss < best_val:
                 best_val, best_epoch = vloss, epoch

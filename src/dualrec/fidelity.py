@@ -75,8 +75,8 @@ class FidelityWeights:
     def __init__(self, lam=math.inf, alpha=1.0, beta=1.0, dtype=np.float64):
         if not (lam > 0):
             raise ParameterError(f"lambda must be positive or +inf, got {lam}")
-        if alpha <= 0 or beta <= 0:
-            raise ParameterError("alpha and beta must be positive")
+        if not (0 < alpha < math.inf and 0 < beta < math.inf):
+            raise ParameterError(f"alpha and beta must be positive and finite, got {alpha}, {beta}")
         self.lam = lam
         self.log_alpha = Parameter(np.asarray(np.log(alpha), dtype=dtype))
         self.log_beta = Parameter(np.asarray(np.log(beta), dtype=dtype))

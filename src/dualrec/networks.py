@@ -24,6 +24,8 @@ Every convolution followed by an activation is one ``Conv2d`` built with a
 the activated outputs only.
 """
 
+import math
+
 import numpy as np
 
 from . import autodiff as ad
@@ -345,9 +347,9 @@ class PrnBlock(Module):
     def __init__(self, channels=2, hidden=32, w_adv=1.0, w_dist=0.1,
                  critic_base=16, rng=None, dtype=np.float64):
         super().__init__()
-        if not (w_adv > w_dist > 0):
+        if not (math.inf > w_adv > w_dist > 0):
             raise ParameterError(
-                f"need w_adv > w_dist > 0, got {w_adv}, {w_dist}")
+                f"need finite w_adv > w_dist > 0, got {w_adv}, {w_dist}")
         if rng is None:
             rng = np.random.default_rng(0)
         self.w_adv = w_adv

@@ -457,6 +457,175 @@ class TestFusedActivation:
         assert sum(a.nbytes for a in held) < x.data.nbytes // 8
 
 
+# --------------------------------------------------------------------------
+# stride-1 conv2d one sample at a time, against the whole-batch formula
+# --------------------------------------------------------------------------
+
+def _pad_batch(x, padding, kw):
+    bsz, c, h, wd = x.shape
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    xf = np.zeros((bsz, c, hp * wp + kw - 1), dtype=x.dtype)
+    xf[:, :, :hp * wp].reshape(bsz, c, hp, wp)[:, :, padding:padding + h,
+                                                padding:padding + wd] = x
+    return xf, hp, wp
+
+
+def whole_batch_conv(x, w, b, padding, slope):
+    """A stride-1 conv2d on the whole batch at once: batched shifted GEMMs over
+    the padded batch, then the bias and the activation."""
+    f, _, kh, kw = w.shape
+    xf, hp, wp = _pad_batch(x, padding, kw)
+    n = (hp - kh + 1) * wp
+    taps = [(w[:, :, u, v], u * wp + v) for u, v in np.ndindex(kh, kw)]
+    y = np.matmul(taps[0][0], xf[:, :, :n])
+    for w_uv, s in taps[1:]:
+        y += np.matmul(w_uv, xf[:, :, s:s + n])
+    y = y.reshape(x.shape[0], f, hp - kh + 1, wp)[..., :wp - kw + 1]
+    y = y + b.reshape(1, f, 1, 1) if b is not None else np.ascontiguousarray(y)
+    if slope is None:
+        return y
+    return np.where(y > 0, y, 0.0) if slope == 0 else \
+        y * np.where(y > 0, 1.0, slope).astype(y.dtype)
+
+
+def whole_batch_grads(x, w, y, padding, slope, g):
+    """(dx, dw, db) of that conv on the whole batch at once: the activation
+    derivative applied to all of g, batched shifted GEMMs with dw summed over
+    the batch, and the bias gradient summed over (0, 2, 3).  The per-sample
+    kernels must reproduce these bits."""
+    bsz, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    if slope is not None:
+        g = g * ad.act_derivative(y, slope)
+    xf, hp, wp = _pad_batch(x, padding, kw)
+    ho, wo = g.shape[2:]
+    n = ho * wp
+    g_pad = np.zeros((bsz, f, ho, wp), dtype=g.dtype)
+    g_pad[..., :wo] = g
+    g_pad = g_pad.reshape(bsz, f, n)
+    dw = np.empty(w.shape, dtype=g.dtype)
+    dxf = np.zeros_like(xf)
+    for u, v in np.ndindex(kh, kw):
+        s = u * wp + v
+        dw[:, :, u, v] = np.matmul(g_pad, xf[:, :, s:s + n].transpose(0, 2, 1)).sum(axis=0)
+        dxf[:, :, s:s + n] += np.matmul(w[:, :, u, v].T, g_pad)
+    dx = dxf[:, :, :hp * wp].reshape(bsz, c, hp, wp)[:, :, padding:padding + h,
+                                                      padding:padding + wd]
+    return dx, dw, g.sum(axis=(0, 2, 3))
+
+
+@st.composite
+def per_sample_cases(draw):
+    """Batch 1-4, float32/float64, slope None/0/0.2, kernel 1/3/5 with
+    padding 0..k//2, with or without a bias."""
+    k = draw(st.sampled_from((1, 3, 5)))
+    padding = draw(st.integers(0, k // 2))
+    h, w = draw(st.integers(k - 2 * padding, 9)), draw(st.integers(k - 2 * padding, 9))
+    bs, c, f = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x, wt = rng.normal(size=(bs, c, h, w)), rng.normal(size=(f, c, k, k))
+    b = rng.normal(size=f).astype(dtype) if draw(st.booleans()) else None
+    g = rng.normal(size=(bs, f, h + 2 * padding - k + 1, w + 2 * padding - k + 1))
+    return (x.astype(dtype), wt.astype(dtype), b, padding,
+            draw(st.sampled_from((None, 0, 0.2))), g.astype(dtype))
+
+
+def _backward_peak(node, g):
+    """Bytes the node's backward closure allocates at its peak, and the flow
+    it leaves."""
+    flow = {}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        node._backward(g, flow)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak, flow
+
+
+def _check_whole_batch_bits(x, w, b, padding, slope, g):
+    xt, wt = Parameter(x.copy()), Parameter(w.copy())
+    bt = None if b is None else Parameter(b.copy())
+    y = ad.conv2d(xt, wt, bt, padding=padding, slope=slope)
+    y.backward(g)
+    want = whole_batch_conv(x, w, b, padding, slope)
+    assert _same_bits(y.data, want)
+    for p, ref in zip((xt, wt, bt), whole_batch_grads(x, w, want, padding, slope, g)):
+        if p is not None:   # a leaf's grad is zeros + the routed gradient
+            assert _same_bits(p.grad, np.zeros_like(ref) + ref)
+
+
+class TestPerSampleConv:
+    @given(per_sample_cases())
+    def test_matches_whole_batch_bitwise(self, case):
+        _check_whole_batch_bits(*case)
+
+    # over 8192 pixels an image's bias-gradient sum depends on the layout it
+    # is read from; a batch of 8 or more one-channel, one-filter samples
+    # reduces its per-tap weight gradients pairwise, not one after another
+    @pytest.mark.parametrize("slope", [None, 0, 0.2])
+    @pytest.mark.parametrize("bs,c,f,hw", [(2, 2, 3, 100), (10, 1, 1, 6)])
+    def test_edge_shapes_match_whole_batch_bitwise(self, bs, c, f, hw, slope):
+        rng = np.random.default_rng(7)
+        x, w = rng.normal(size=(bs, c, hw, hw)), rng.normal(size=(f, c, 3, 3))
+        b, g = rng.normal(size=f), rng.normal(size=(bs, f, hw, hw))
+        _check_whole_batch_bits(x, w, b, 1, slope, g)
+
+    def test_backward_scratch_is_per_sample(self):
+        rng = np.random.default_rng(8)
+        x = Parameter(rng.normal(size=(4, 32, 64, 64)).astype(np.float32))
+        w = Parameter(rng.normal(size=(32, 32, 3, 3)).astype(np.float32))
+        b = Parameter(rng.normal(size=32).astype(np.float32))
+        y = ad.conv2d(x, w, b, padding=1, slope=0)
+        peak, flow = _backward_peak(y, rng.normal(size=y.shape).astype(np.float32))
+        # dx plus one sample's padded input, gradient, dx and GEMM scratch;
+        # the whole-batch kernels peaked at about 5x the input
+        assert peak < 3 * x.data.nbytes, peak / x.data.nbytes
+        assert flow[id(x)].shape == x.shape
+
+    def test_batch1_peak_below_whole_batch(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(1, 32, 64, 64)).astype(np.float32)
+        w = rng.normal(size=(32, 32, 3, 3)).astype(np.float32)
+        b = rng.normal(size=32).astype(np.float32)
+        xt = Parameter(x)
+        y = ad.conv2d(xt, Parameter(w), Parameter(b), padding=1, slope=0)
+        g = rng.normal(size=y.shape).astype(np.float32)
+        peak, flow = _backward_peak(y, g)
+        # dx is a view of the padded dx buffer, as in the whole-batch kernels
+        assert flow[id(xt)].base is not None
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            whole_batch_grads(x, w, y.data, 1, 0, g)
+            ref_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the masked gradient is freed before dx's buffers exist
+        assert peak < ref_peak - g.nbytes // 2, (peak, ref_peak)
+
+    @pytest.mark.parametrize("stride,slope", [(1, 0), (1, None), (2, 0.2)])
+    def test_constant_input_gets_no_dx(self, stride, slope):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(4, 16, 64, 64))
+        w = rng.normal(size=(16, 16, 3, 3))
+        b = rng.normal(size=16)
+        grads = []
+        for xt in (Tensor(x), Parameter(x.copy())):
+            wt, bt = Parameter(w.copy()), Parameter(b.copy())
+            y = ad.conv2d(xt, wt, bt, stride=stride, padding=1, slope=slope)
+            peak, flow = _backward_peak(y, np.ones_like(y.data))
+            grads.append((flow[id(wt)], flow[id(bt)]))
+            if not xt.requires_grad:
+                assert id(xt) not in flow
+                # nothing the size of the input was allocated
+                assert peak < x.nbytes, peak / x.nbytes
+        for got, want in zip(*grads):
+            assert _same_bits(got, want)
+
+
 class TestGraphSemantics:
     def test_diamond_graph_accumulates(self):
         x = Tensor(np.asarray(3.0), requires_grad=True)

@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
+from conftest import TINY_SPEC, dataset_kind, spec_dicts
 from dualrec import cascade as cas
 from dualrec.autodiff import Tensor
 from dualrec.errors import (ConfigError, ContainerError, DimensionError,
@@ -13,6 +15,7 @@ from dualrec.errors import (ConfigError, ContainerError, DimensionError,
 from dualrec.fidelity import SensitivitySet
 from dualrec.fourier import ComplexGrid, fft2c, ifft2c
 from dualrec.masks import SamplingMask, apply_mask, make_mask
+from dualrec.networks import PrnBlock
 from dualrec.phantoms import (Dataset, PhantomSpec, gen_coil_maps, gen_phantom,
                               load_dataset, make_dataset)
 
@@ -134,9 +137,32 @@ class TestCascadeSpec:
         {"prn": {"lr_critic": 0.0}}, {"prn": {"lr_re": -1e-3}},
         {"prn": {"lr_re": float("inf")}}, {"prn": {"gp_coeff": -1.0}},
         {"prn": {"gp_coeff": float("nan")}},
+        {"alpha": float("nan")}, {"alpha": float("inf")}, {"alpha": 0.0},
+        {"beta": -1.0}, {"beta": float("nan")}, {"beta": float("inf")},
+        {"prn": {"w_adv": float("inf")}}, {"prn": {"w_adv": float("nan")}},
+        {"prn": {"w_dist": 0.0}}, {"prn": {"w_dist": float("nan")}},
     ], ids=str)
     def test_out_of_range_rejected(self, kw):
         with pytest.raises(ConfigError, match=next(iter(kw))):
+            cas.CascadeSpec.from_dict(dict(small_spec().to_dict(), **kw))
+
+    @pytest.mark.parametrize("prn", [{"w_adv": 0.05}, {"w_dist": 2.0},
+                                     {"w_adv": 0.5, "w_dist": 0.5}], ids=str)
+    def test_prn_weight_order_rejected(self, prn):
+        # PrnBlock's w_adv > w_dist, with its defaults for a missing key
+        with pytest.raises(ConfigError, match="w_adv > w_dist"):
+            cas.CascadeSpec.from_dict(dict(small_spec().to_dict(), prn=prn))
+
+    def test_prn_needs_dc_rsn(self):
+        with pytest.raises(ConfigError, match="dc_rsn"):
+            cas.CascadeSpec.from_dict(dict(small_spec().to_dict(), family="vs_rsn",
+                                           mode="fu", prn={}))
+
+    @pytest.mark.parametrize("kw", [{"ii_depth": 10 ** 18},
+                                    {"assists": "golf", "golf_depth": 10 ** 18}], ids=str)
+    def test_huge_depth_rejected(self, kw):
+        # rejected without building 2^depth
+        with pytest.raises(ConfigError, match="divisible"):
             cas.CascadeSpec.from_dict(dict(small_spec().to_dict(), **kw))
 
     def test_range_edges_accepted(self):
@@ -719,3 +745,62 @@ class TestShiftAugmentation:
         with pytest.raises(ParameterError):
             cas.t1_shift_metric_sweep(None, ds_paired, max_shift=30)
 
+
+# --------------------------------------------------------------------------
+# every spec dict is rejected, trains one tiny epoch, or aborts
+# --------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def tiny_sets(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    for kind in ("single", "paired", "multi"):
+        make_dataset(kind, 6, 32, 4, "cartesian", seed=2, n_coils=2, out_dir=root / kind)
+    return {kind: load_dataset(root / kind) for kind in ("single", "paired", "multi")}
+
+
+def _train_like_cli(spec, dataset):
+    """The library calls `dualrec train` makes for a spec: the refiner block
+    first, then the base model, then the refiner."""
+    block = None
+    if spec.prn is not None:
+        block_keys = ("hidden", "w_adv", "w_dist", "critic_base")
+        block = PrnBlock(**{k: v for k, v in spec.prn.items() if k in block_keys},
+                         rng=np.random.default_rng(spec.seed + 9))
+    if spec.assists in ("golf", "t1_golf"):
+        report = cas.train_two_stage_golf(spec, dataset)
+    else:
+        report = cas.train(spec, dataset)
+    if block is not None:
+        cas.train_prn(block, report.model, dataset, batch=spec.batch, seed=spec.seed,
+                      **{"epochs": spec.epochs, **{k: v for k, v in spec.prn.items()
+                                                   if k not in block_keys}})
+
+
+def _tiny(**kw):
+    return dict(TINY_SPEC, **kw)
+
+
+class TestSpecContract:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=40)
+    @given(spec_dicts())
+    # valid values at the edge of their range, which the drawn combinations
+    # reach only rarely
+    @example(_tiny(lr=1e308))
+    @example(_tiny(lr=1e-300, seed=2 ** 70, batch=10 ** 18))
+    @example(_tiny(family="vs_rsn", mode="fu", lam=1e-300, alpha=1e308, beta=1e-300))
+    @example(_tiny(family="vs_rsn", lam=1e308, alpha=1e-300, beta=1e308))
+    @example(_tiny(mode="fu", assists="t1", t1_shift=8, golf_depth=10 ** 18))
+    @example(_tiny(prn={"w_adv": 1e308, "w_dist": 1e307, "gp_coeff": 1e308}))
+    @example(_tiny(prn={"w_adv": 1e-299, "w_dist": 1e-300, "lr_re": 1e308}))
+    @example(_tiny(assists="golf", prn={"lr_critic": 1e308, "gp_coeff": 0}))
+    def test_rejected_or_trains_or_aborts(self, tiny_sets, d):
+        # nothing but ConfigError (before training) or TrainAbortError escapes
+        try:
+            spec = cas.CascadeSpec.from_dict(d)
+        except ConfigError:
+            return
+        try:
+            _train_like_cli(spec, tiny_sets[dataset_kind(d)])
+        except TrainAbortError:
+            pass

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
+from conftest import TINY_SPEC, dataset_kind, spec_dicts
 from dualrec import cascade as cas
 from dualrec.cli import main
 from dualrec.phantoms import RtcContainer, load_dataset, make_dataset
@@ -172,6 +174,10 @@ class TestTrainCmd:
         lambda c: c["spec"].update(prn={"critic_steps": 0}),
         lambda c: c["spec"].update(prn={"lr_re": -1e-3}),
         lambda c: c["spec"].update(prn={"gp_coeff": -1.0}),
+        lambda c: c["spec"].update(family="vs_rsn", lam=3, alpha=float("nan")),
+        lambda c: c["spec"].update(family="vs_rsn", lam=3, alpha=float("inf")),
+        lambda c: c["spec"].update(prn={"w_adv": float("inf")}),
+        lambda c: c["spec"].update(prn={"w_dist": float("nan")}),
     ])
     def test_bad_config_exits_2(self, ds_dir, tmp_path, mutate, capsys):
         cfg = {"schema": 1, "spec": spec_dict(), "dataset": str(ds_dir),
@@ -181,6 +187,16 @@ class TestTrainCmd:
         path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(path)]) == 2
         assert not (tmp_path / "out" / "checkpoint.rtc").exists()   # failed before training
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_exits_2_before_training(self, ds_multi_dir, tmp_path,
+                                                      alpha, capsys):
+        cfg = write_config(tmp_path / "cfg.json",
+                           dict(spec_dict(family="vs_rsn", lam=3.0), alpha=alpha),
+                           ds_multi_dir, tmp_path / "out")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "alpha" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_and_invalid_config_files(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "none.json")]) == 2
@@ -431,3 +447,24 @@ class TestEvaluateCmd:
         empty.mkdir()
         assert main(["evaluate", "--recon", str(empty), "--target",
                      str(ds_dir), "--out", str(tmp_path / "m.csv")]) == 2
+
+
+@pytest.fixture(scope="module")
+def tiny_dirs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("clitiny")
+    for kind in ("single", "paired", "multi"):
+        make_dataset(kind, 6, 32, 4, "cartesian", seed=2, n_coils=2, out_dir=root / kind)
+    return {kind: root / kind for kind in ("single", "paired", "multi")}
+
+
+class TestTrainContract:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=15)
+    @given(spec_dicts())
+    @example(dict(TINY_SPEC, lr=1e308))
+    @example(dict(TINY_SPEC, family="vs_rsn", lam=3, alpha=float("nan")))
+    @example(dict(TINY_SPEC, prn={"w_adv": float("inf")}))
+    def test_exit_code_is_0_2_or_3(self, tiny_dirs, tmp_path_factory, d):
+        run = tmp_path_factory.mktemp("contract")
+        cfg = write_config(run / "cfg.json", d, tiny_dirs[dataset_kind(d)], run / "out")
+        assert main(["train", "--config", str(cfg)]) in (0, 2, 3)

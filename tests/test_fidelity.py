@@ -254,6 +254,12 @@ class TestWeights:
         with pytest.raises(ParameterError):
             fid.FidelityWeights(lam=0.0)
 
+    @pytest.mark.parametrize("kw", [{"alpha": math.nan}, {"alpha": math.inf},
+                                    {"beta": math.nan}, {"beta": math.inf}], ids=str)
+    def test_non_finite_weights_rejected(self, kw):
+        with pytest.raises(ParameterError, match="finite"):
+            fid.FidelityWeights(**kw)
+
 
 class TestGraphVersions:
     @pytest.mark.parametrize("lam", [math.inf, 2.0])

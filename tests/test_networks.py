@@ -1,6 +1,8 @@
 """Network building blocks: log-gradient maps, UNet, fusion net, block
 composition modes, guidance features, the refiner, and the critic."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,9 @@ class TestPrnBlock:
             nw.PrnBlock(w_adv=0.1, w_dist=1.0, rng=np.random.default_rng(0))
         with pytest.raises(ParameterError):
             nw.PrnBlock(w_adv=1.0, w_dist=0.0, rng=np.random.default_rng(0))
+        for w_adv, w_dist in ((math.inf, 0.1), (math.nan, 0.1), (1.0, math.nan)):
+            with pytest.raises(ParameterError, match="finite"):
+                nw.PrnBlock(w_adv=w_adv, w_dist=w_dist, rng=np.random.default_rng(0))
 
     def test_gradients_reach_every_refiner_parameter(self):
         block = nw.PrnBlock(hidden=4, critic_base=4, rng=np.random.default_rng(5))
