@@ -20,13 +20,14 @@ training loop runs its forward pass, backward pass and optimizer step in
 TRAIN_DTYPE (float32): it casts the parameters to float32 in place for the
 loop and back to float64 when the loop ends, however it ends; ``forward``
 casts each batch to the parameters' precision.  Staged data, inference,
-checkpoints and metrics are float64.  Assisted
-variants: ``golf`` trains in two stages (base model, then a guidance-feature
-module, then a fresh injected model fed frozen features, computed by the
-same ``Reconstructor._features`` that inference calls); ``t1`` stacks a
-registered companion contrast into the fusion input, optionally with random
-circular shifts for robustness; ``t1_golf`` combines both.  A refiner can be
-attached afterwards and trained adversarially.
+checkpoints and metrics are float64.  ``train`` runs every stage a spec
+asks for.  Assisted variants: ``golf`` trains in two stages (base model,
+then a guidance-feature module, then a fresh injected model fed frozen
+features, computed by the same ``Reconstructor._features`` that inference
+calls); ``t1`` stacks a registered companion contrast into the fusion
+input, with random circular shifts of up to ``t1_shift`` pixels for
+robustness; ``t1_golf`` combines both.  A ``prn`` spec then trains a
+refiner adversarially on the cascade.
 
 Checkpoints are RTC containers holding every parameter plus a JSON meta
 entry, bundling whatever pieces inference needs (stage-1 model, guidance
@@ -73,7 +74,8 @@ _RANGES.update({name: (0, True) for name in (
     "lr", "alpha", "beta", "prn.lr_critic", "prn.lr_re", "prn.w_adv", "prn.w_dist")})
 _RANGES.update({"seed": (0, False), "prn.gp_coeff": (0, False)})
 _GOLF_META = ("feature_depth", "base", "depth", "eps")
-_PRN_META = ("channels", "hidden", "w_adv", "w_dist", "critic_base")
+_PRN_BLOCK = ("hidden", "w_adv", "w_dist", "critic_base")   # PrnBlock's own keys
+_PRN_META = ("channels",) + _PRN_BLOCK
 
 
 def _check_type(name, v, typ):
@@ -148,6 +150,8 @@ class CascadeSpec:
             raise ConfigError("lam must be positive or inf")
         if self.t1_shift < 0 or self.t1_shift > self.size // 4:
             raise ConfigError(f"t1_shift must be in [0, {self.size // 4}]")
+        if self.t1_shift and self.assists not in ("t1", "t1_golf"):
+            raise ConfigError("t1_shift needs t1 or t1_golf assists")
         if self.prn is not None:
             if self.family != "dc_rsn":
                 raise ConfigError("the prn refiner trains on single-coil dc_rsn models")
@@ -489,9 +493,12 @@ def load_checkpoint(path):
 
 def build_model(spec, rng=None):
     spec.validate()
-    if spec.family == "dc_rsn":
-        return DcRsn(spec, rng=rng)
-    return VsRsn(spec, rng=rng)
+    try:
+        if spec.family == "dc_rsn":
+            return DcRsn(spec, rng=rng)
+        return VsRsn(spec, rng=rng)
+    except MemoryError as exc:   # a width too large to allocate
+        raise ConfigError(f"cannot build the model: {exc}") from None
 
 
 def _base_spec(spec):
@@ -614,11 +621,11 @@ def zero_filled_report(dataset, split="val"):
 
 def _fit_and_report(spec, dataset, t0, out_dir, feats=None, stage1=None,
                     golf=None, extra=None, stage1_report=None):
-    """The tail shared by train and train_two_stage_golf.  Fits a fresh model;
-    if the train loss rises during the first three epochs, halves the
-    learning rate and restarts once.  Keeps the best-validation weights,
-    scores them, writes the checkpoint when out_dir is given, and returns the
-    TrainReport, whose ``extra`` holds init_val_loss and then ``extra``."""
+    """One cascade fit of train.  Fits a fresh model; if the train loss rises
+    during the first three epochs, halves the learning rate and restarts
+    once.  Keeps the best-validation weights, scores them, writes the
+    checkpoint when out_dir is given, and returns the TrainReport, whose
+    ``extra`` holds init_val_loss and then ``extra``."""
     staged, mask = dataset.staged, dataset.mask
     train_ids, val_ids = dataset.indices("train"), dataset.indices("val")
 
@@ -654,19 +661,62 @@ def _fit_and_report(spec, dataset, t0, out_dir, feats=None, stage1=None,
         stage1=stage1_report)
 
 
-def train(spec, dataset, out_dir=None):
-    """MSE training of one cascade.  Deterministic in spec.seed; halves the
-    learning rate and restarts once if the train loss rises during the first
-    three epochs; aborts on non-finite loss; keeps best-validation weights.
+def train(spec, dataset, out_dir=None, stage1_checkpoint=None):
+    """Train every stage ``spec`` asks for; returns the last stage's report.
+
+    Spec, dataset and refiner are checked or built before anything trains.
+    A golf spec trains its base model (or takes the bare model of
+    ``stage1_checkpoint``), then the guidance module, then a fresh injected
+    model on the frozen features.  Each cascade fit is deterministic in
+    spec.seed, halves the learning rate and restarts once if the train loss
+    rises during the first three epochs, aborts on non-finite loss and keeps
+    best-validation weights.  A ``prn`` spec then trains the refiner on the
+    cascade, and its report keeps the cascade's under ``extra["base"]``.
+    Only the last stage writes the checkpoint to ``out_dir``.
     """
     spec.validate()
     _check_dataset(spec, dataset)
-    if spec.assists in ("golf", "t1_golf"):
-        raise ConfigError("guidance-assisted specs train via train_two_stage_golf")
-    t0 = time.perf_counter()
-    if not dataset.indices("train") or not dataset.indices("val"):
+    guided = spec.assists in ("golf", "t1_golf")
+    if stage1_checkpoint is not None and not guided:
+        raise ConfigError(f"stage1_checkpoint applies to golf and t1_golf "
+                          f"assists only, not {spec.assists!r}")
+    train_ids, val_ids = dataset.indices("train"), dataset.indices("val")
+    if not train_ids or not val_ids:
         raise ConfigError("dataset needs nonempty train and val splits")
-    return _fit_and_report(spec, dataset, t0, out_dir)
+    block = None
+    if spec.prn is not None:
+        block = PrnBlock(**{k: v for k, v in spec.prn.items() if k in _PRN_BLOCK},
+                         rng=np.random.default_rng(spec.seed + 9))
+    t0 = time.perf_counter()
+    stages = {}
+    if guided:
+        base, stage1_report = _base_spec(spec), None
+        if stage1_checkpoint is not None:
+            loaded = load_checkpoint(stage1_checkpoint)
+            if (loaded.spec.family, loaded.spec.assists) != (base.family, base.assists):
+                raise ConfigError("stage-1 checkpoint does not match the base spec")
+            stage1 = loaded.model
+        else:
+            stage1_report = _fit_and_report(base, dataset, time.perf_counter(), None)
+            stage1 = stage1_report.model.model
+        module, curves = _train_golf_module(spec, dataset.staged, train_ids, val_ids)
+        guide = Reconstructor(spec, None, stage1=stage1, golf=module)
+        stages = dict(
+            feats={i: guide._features(dataset.staged, [i], dataset.mask)[0]
+                   for i in train_ids + val_ids},
+            stage1=stage1, golf=module, stage1_report=stage1_report,
+            extra={"golf_train_loss": curves["train"], "golf_val_loss": curves["val"],
+                   "stage1_best_val": None if stage1_report is None
+                   else stage1_report.best_val_loss})
+    report = _fit_and_report(spec, dataset, t0, out_dir if block is None else None,
+                             **stages)
+    if block is None:
+        return report
+    refined = train_prn(block, report.model, dataset, batch=spec.batch, seed=spec.seed,
+                        out_dir=out_dir, **{"epochs": spec.epochs, **{
+                            k: v for k, v in spec.prn.items() if k not in _PRN_BLOCK}})
+    refined.extra["base"] = report.to_dict()
+    return refined
 
 
 # -- two-stage guidance training ----------------------------------------
@@ -708,60 +758,7 @@ def _train_golf_module(spec, staged, train_ids, val_ids):
     return module, curves
 
 
-def train_two_stage_golf(spec, dataset, out_dir=None, stage1_checkpoint=None):
-    """Stage 1: train the base model (or load it).  Then train the guidance
-    module on (target -> gol(target)).  Stage 2: train a fresh injected
-    model on frozen features of the bare stage-1 model's reconstructions
-    (a stage-1 checkpoint's refiner is not used, as at inference)."""
-    spec.validate()
-    if spec.assists not in ("golf", "t1_golf"):
-        raise ConfigError("train_two_stage_golf needs assists golf or t1_golf")
-    _check_dataset(spec, dataset)
-    t0 = time.perf_counter()
-    staged = dataset.staged
-    train_ids, val_ids = dataset.indices("train"), dataset.indices("val")
-
-    base = _base_spec(spec)
-    stage1_report = None
-    if stage1_checkpoint is not None:
-        stage1_rec = load_checkpoint(stage1_checkpoint)
-        if stage1_rec.spec.family != spec.family or \
-                stage1_rec.spec.assists != base.assists:
-            raise ConfigError("stage-1 checkpoint does not match the base spec")
-    else:
-        stage1_report = train(base, dataset)
-        stage1_rec = stage1_report.model
-
-    module, golf_curves = _train_golf_module(spec, staged, train_ids, val_ids)
-    guide = Reconstructor(spec, None, stage1=stage1_rec.model, golf=module)
-    feats = {i: guide._features(staged, [i], dataset.mask)[0]
-             for i in train_ids + val_ids}
-
-    extra = {"golf_train_loss": golf_curves["train"],
-             "golf_val_loss": golf_curves["val"],
-             "stage1_best_val": None if stage1_report is None
-             else stage1_report.best_val_loss}
-    return _fit_and_report(spec, dataset, t0, out_dir, feats=feats,
-                           stage1=stage1_rec.model, golf=module, extra=extra,
-                           stage1_report=stage1_report)
-
-
-# -- shift-augmented t1 training ----------------------------------------
-
-def train_t1_shift_augmented(spec, dataset, max_shift=2, out_dir=None):
-    """Train with independent circular shifts of the companion contrast,
-    drawn uniformly from [-max_shift, max_shift]^2 per sample per epoch."""
-    if spec.assists not in ("t1", "t1_golf"):
-        raise ConfigError("shift augmentation needs t1 or t1_golf assists")
-    if max_shift < 0 or max_shift > spec.size // 4:
-        raise ParameterError(f"max_shift must be in [0, {spec.size // 4}], "
-                             f"got {max_shift}")
-    shifted = replace(spec, t1_shift=max_shift)
-    shifted.validate()
-    if shifted.assists == "t1_golf":
-        return train_two_stage_golf(shifted, dataset, out_dir=out_dir)
-    return train(shifted, dataset, out_dir=out_dir)
-
+# -- t1 misregistration sweep -----------------------------------------
 
 def t1_shift_metric_sweep(rec, dataset, max_shift=2, split="val", metric="ssim"):
     """Mean metric over the split for every shift on the

@@ -21,7 +21,6 @@ from .errors import TrainAbortError
 from .fourier import fft2c
 from .masks import MASK_KINDS, make_mask
 from .metrics import MetricReport, compare
-from .networks import PrnBlock
 from .phantoms import (DATASET_KINDS, RtcContainer, load_dataset,
                        make_dataset, write_mask_file)
 
@@ -88,13 +87,6 @@ def cmd_train(args):
         raise ConfigError(
             f"assists {spec.assists!r} requires the config field "
             "'stage1_checkpoint' (train the base model first)")
-    block = None
-    if spec.prn is not None:   # built first, so a bad refiner config fails fast
-        block_keys = ("hidden", "w_adv", "w_dist", "critic_base")
-        block = PrnBlock(**{k: v for k, v in spec.prn.items() if k in block_keys},
-                         rng=np.random.default_rng(spec.seed + 9))
-        prn_args = {"epochs": spec.epochs, **{k: v for k, v in spec.prn.items()
-                                              if k not in block_keys}}
     dataset = load_dataset(cfg["dataset"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -102,15 +94,8 @@ def cmd_train(args):
         resolved_config_dict(spec, cfg["dataset"], out,
                              cfg["stage1_checkpoint"]), indent=1))
     try:
-        if spec.assists in ("golf", "t1_golf"):
-            report = cas.train_two_stage_golf(
-                spec, dataset, out_dir=out,
-                stage1_checkpoint=cfg["stage1_checkpoint"])
-        else:
-            report = cas.train(spec, dataset, out_dir=out)
-        if block is not None:
-            report = cas.train_prn(block, report.model, dataset, batch=spec.batch,
-                                   seed=spec.seed, out_dir=out, **prn_args)
+        report = cas.train(spec, dataset, out_dir=out,
+                           stage1_checkpoint=cfg["stage1_checkpoint"])
     except TrainAbortError as exc:
         (out / "diagnostics.json").write_text(json.dumps(
             {"error": str(exc), "epoch": exc.epoch, "batch": exc.batch,

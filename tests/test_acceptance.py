@@ -415,7 +415,7 @@ def test_criterion_06_golf_assistance(verdict, toy_b):
     b = injected(Tensor(chan(zf)[None]), us_k[None], mask, golf=feats).data
     exact = np.array_equal(a, b)
 
-    rep = cas.train_two_stage_golf(toy_spec(assists="golf"), toy_b)
+    rep = cas.train(toy_spec(assists="golf"), toy_b)
     ok = exact and rep.final_ssim >= rep.stage1.final_ssim - 0.002
     verdict(6, "golf no-op and assistance", ok,
             f"zero-injection exact={exact}, ssim {rep.final_ssim:.4f} "
@@ -451,8 +451,7 @@ def test_criterion_07_t1_assistance(verdict, toy_paired, t1_runs):
 
 def test_criterion_08_misregistration(verdict, toy_paired, t1_runs):
     with_t1, _ = t1_runs
-    aug = cas.train_t1_shift_augmented(toy_spec(assists="t1"), toy_paired,
-                                       max_shift=2)
+    aug = cas.train(toy_spec(assists="t1", t1_shift=2), toy_paired)
     sweep_a = cas.t1_shift_metric_sweep(aug.model, toy_paired, 2)
     sweep_p = cas.t1_shift_metric_sweep(with_t1.model, toy_paired, 2)
     spread_a = max(sweep_a.values()) - min(sweep_a.values())

@@ -15,7 +15,6 @@ from dualrec.errors import (ConfigError, ContainerError, DimensionError,
 from dualrec.fidelity import SensitivitySet
 from dualrec.fourier import ComplexGrid, fft2c, ifft2c
 from dualrec.masks import SamplingMask, apply_mask, make_mask
-from dualrec.networks import PrnBlock
 from dualrec.phantoms import (Dataset, PhantomSpec, gen_coil_maps, gen_phantom,
                               load_dataset, make_dataset)
 
@@ -388,10 +387,6 @@ class TestTrain:
         with pytest.raises(ConfigError):
             cas.train(small_spec(assists="t1", mode="fu_with_us"), ds_single)
 
-    def test_guided_spec_routed_to_two_stage(self, ds_single):
-        with pytest.raises(ConfigError):
-            cas.train(small_spec(assists="golf"), ds_single)
-
     def test_multi_coil_training_runs(self, ds_multi):
         spec = small_spec(family="vs_rsn", epochs=1, seed=4)
         rep = cas.train(spec, ds_multi)
@@ -428,8 +423,7 @@ class TestTrain:
         monkeypatch.setattr(phantoms, "_stage_sample",
                             lambda rec, kind: calls.append(rec["id"]) or stage(rec, kind))
         ds = Dataset(ds_paired.manifest, ds_paired.samples, ds_paired.root)
-        rep = cas.train_two_stage_golf(
-            small_spec(assists="t1_golf", mode="fu", epochs=1), ds)
+        rep = cas.train(small_spec(assists="t1_golf", mode="fu", epochs=1), ds)
         block = PrnBlock(hidden=4, critic_base=4, rng=np.random.default_rng(0))
         cas.train_prn(block, rep.model, ds, epochs=1, critic_steps=1)
         assert sorted(calls) == sorted(s["id"] for s in ds.samples)
@@ -464,7 +458,7 @@ class TestTrain:
 def golf_report(ds_single, tmp_path_factory):
     out = tmp_path_factory.mktemp("run_golf")
     spec = small_spec(assists="golf", epochs=2, seed=21)
-    return cas.train_two_stage_golf(spec, ds_single, out_dir=out)
+    return cas.train(spec, ds_single, out_dir=out)
 
 
 class TestTwoStageGolf:
@@ -486,25 +480,22 @@ class TestTwoStageGolf:
     def test_missing_stage1_checkpoint(self, ds_single, tmp_path):
         spec = small_spec(assists="golf", epochs=1)
         with pytest.raises(StateError):
-            cas.train_two_stage_golf(spec, ds_single,
-                                     stage1_checkpoint=tmp_path / "nope.rtc")
+            cas.train(spec, ds_single, stage1_checkpoint=tmp_path / "nope.rtc")
 
     def test_mismatched_stage1_checkpoint(self, ds_single, golf_report):
         spec = small_spec(assists="golf", epochs=1)
         with pytest.raises(ConfigError):
-            cas.train_two_stage_golf(spec, ds_single,
-                                     stage1_checkpoint=golf_report.checkpoint)
+            cas.train(spec, ds_single, stage1_checkpoint=golf_report.checkpoint)
 
     def test_external_stage1_checkpoint_accepted(self, ds_single, trained_n1):
         spec = small_spec(assists="golf", epochs=1)
-        rep = cas.train_two_stage_golf(spec, ds_single,
-                                       stage1_checkpoint=trained_n1.checkpoint)
+        rep = cas.train(spec, ds_single, stage1_checkpoint=trained_n1.checkpoint)
         assert rep.stage1 is None
         assert rep.extra["stage1_best_val"] is None
 
-    def test_wrong_assists_rejected(self, ds_single):
-        with pytest.raises(ConfigError):
-            cas.train_two_stage_golf(small_spec(), ds_single)
+    def test_wrong_assists_rejected(self, ds_single, trained_n1):
+        with pytest.raises(ConfigError, match="stage1_checkpoint"):
+            cas.train(small_spec(), ds_single, stage1_checkpoint=trained_n1.checkpoint)
 
     def test_t1_variant_features_differ_from_plain(self, ds_paired):
         """Features must come from the t1-assisted stage-1 model; swapping in
@@ -539,9 +530,8 @@ class TestTwoStageGolf:
             return fit(rec, *args, feats=feats, **kw)
 
         monkeypatch.setattr(cas, "_fit", spy)
-        rep = cas.train_two_stage_golf(small_spec(assists="golf", epochs=1),
-                                       ds_single,
-                                       stage1_checkpoint=prn_report.checkpoint)
+        rep = cas.train(small_spec(assists="golf", epochs=1), ds_single,
+                        stage1_checkpoint=prn_report.checkpoint)
         seen = []
         features = cas.Reconstructor._features
 
@@ -607,6 +597,25 @@ class TestPrn:
                           critic_steps=1)
 
 
+class TestDriver:
+    def test_prn_spec_writes_checkpoint_once_and_keeps_base(self, ds_single,
+                                                             tmp_path, monkeypatch):
+        saved = []
+        save = cas.save_checkpoint
+        monkeypatch.setattr(cas, "save_checkpoint",
+                            lambda *a, **kw: saved.append(a[0]) or save(*a, **kw))
+        spec = small_spec(epochs=2, prn={"hidden": 4, "critic_base": 4, "w_dist": 0.5,
+                                         "epochs": 1, "critic_steps": 1})
+        rep = cas.train(spec, ds_single, out_dir=tmp_path)
+        assert saved == [tmp_path / "checkpoint.rtc"]
+        assert cas.load_checkpoint(rep.checkpoint).prn is not None
+        base = rep.extra["base"]
+        assert len(base["val_loss"]) == spec.epochs and base["checkpoint"] is None
+        bare = cas.Reconstructor(spec, rep.model.model)
+        assert base["final_ssim"] == cas.evaluate_model(bare, ds_single).mean("ssim")
+        cas.validate_train_report(base)
+
+
 @pytest.fixture
 def optimizer_steps(monkeypatch):
     """(rule, parameter dtype, gradient dtype, Adam moment dtype) of every
@@ -657,8 +666,7 @@ class TestTrainingPrecision:
             assert np.array_equal(p.data.astype(np.float32), p.data), name
 
     def test_two_stage_golf_steps_in_float32(self, ds_single, optimizer_steps):
-        rep = cas.train_two_stage_golf(
-            small_spec(assists="golf", epochs=1, seed=21), ds_single)
+        rep = cas.train(small_spec(assists="golf", epochs=1, seed=21), ds_single)
         _assert_float32_steps(optimizer_steps)
         _assert_float64(rep.model)
         assert rep.model.stage1 is not None and rep.model.golf is not None
@@ -702,9 +710,8 @@ class TestTrainingPrecision:
 @pytest.fixture(scope="module")
 def aug_report(ds_paired, tmp_path_factory):
     out = tmp_path_factory.mktemp("run_aug")
-    spec = small_spec(assists="t1", mode="fu_with_us", epochs=4, seed=51)
-    return cas.train_t1_shift_augmented(spec, ds_paired, max_shift=2,
-                                        out_dir=out)
+    spec = small_spec(assists="t1", mode="fu_with_us", epochs=4, seed=51, t1_shift=2)
+    return cas.train(spec, ds_paired, out_dir=out)
 
 
 @pytest.fixture(scope="module")
@@ -730,18 +737,17 @@ class TestShiftAugmentation:
         assert spread_a <= spread_p + 1e-12
 
     def test_shifts_reproducible(self, ds_paired, aug_report):
-        spec = small_spec(assists="t1", mode="fu_with_us", epochs=4, seed=51)
-        again = cas.train_t1_shift_augmented(spec, ds_paired, max_shift=2)
+        spec = small_spec(assists="t1", mode="fu_with_us", epochs=4, seed=51, t1_shift=2)
+        again = cas.train(spec, ds_paired)
         assert again.train_loss == aug_report.train_loss
 
     def test_bounds_and_assists_checked(self, ds_paired):
-        spec = small_spec(assists="t1", mode="fu_with_us")
-        with pytest.raises(ParameterError):
-            cas.train_t1_shift_augmented(spec, ds_paired, max_shift=-1)
-        with pytest.raises(ParameterError):
-            cas.train_t1_shift_augmented(spec, ds_paired, max_shift=20)
         with pytest.raises(ConfigError):
-            cas.train_t1_shift_augmented(small_spec(), ds_paired, max_shift=2)
+            small_spec(assists="t1", mode="fu_with_us", t1_shift=-1).validate()
+        with pytest.raises(ConfigError):
+            small_spec(assists="t1", mode="fu_with_us", t1_shift=20).validate()
+        with pytest.raises(ConfigError, match="t1_shift"):
+            small_spec(t1_shift=2).validate()
         with pytest.raises(ParameterError):
             cas.t1_shift_metric_sweep(None, ds_paired, max_shift=30)
 
@@ -756,24 +762,6 @@ def tiny_sets(tmp_path_factory):
     for kind in ("single", "paired", "multi"):
         make_dataset(kind, 6, 32, 4, "cartesian", seed=2, n_coils=2, out_dir=root / kind)
     return {kind: load_dataset(root / kind) for kind in ("single", "paired", "multi")}
-
-
-def _train_like_cli(spec, dataset):
-    """The library calls `dualrec train` makes for a spec: the refiner block
-    first, then the base model, then the refiner."""
-    block = None
-    if spec.prn is not None:
-        block_keys = ("hidden", "w_adv", "w_dist", "critic_base")
-        block = PrnBlock(**{k: v for k, v in spec.prn.items() if k in block_keys},
-                         rng=np.random.default_rng(spec.seed + 9))
-    if spec.assists in ("golf", "t1_golf"):
-        report = cas.train_two_stage_golf(spec, dataset)
-    else:
-        report = cas.train(spec, dataset)
-    if block is not None:
-        cas.train_prn(block, report.model, dataset, batch=spec.batch, seed=spec.seed,
-                      **{"epochs": spec.epochs, **{k: v for k, v in spec.prn.items()
-                                                   if k not in block_keys}})
 
 
 def _tiny(**kw):
@@ -801,6 +789,6 @@ class TestSpecContract:
         except ConfigError:
             return
         try:
-            _train_like_cli(spec, tiny_sets[dataset_kind(d)])
+            cas.train(spec, tiny_sets[dataset_kind(d)])
         except TrainAbortError:
             pass

@@ -253,6 +253,27 @@ class TestTrainCmd:
         rec = cas.load_checkpoint(tmp_path / "out" / "checkpoint.rtc")
         assert rec.golf is not None and rec.stage1 is not None
 
+    def test_golf_on_empty_train_split_exits_2(self, run_dir, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["make-dataset", "--kind", "single", "--n", "1", "--size", "32",
+                     "--accel", "4", "--mask", "cartesian", "--out", str(ds)]) == 0
+        assert not load_dataset(ds).indices("train")
+        cfg = write_config(tmp_path / "cfg.json", spec_dict(assists="golf", epochs=1),
+                           ds, tmp_path / "out",
+                           stage1_checkpoint=str(run_dir / "checkpoint.rtc"))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "nonempty" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checkpoint.rtc").exists()
+
+    def test_stage1_checkpoint_without_golf_exits_2(self, ds_dir, run_dir, tmp_path,
+                                                    capsys):
+        cfg = write_config(tmp_path / "cfg.json", spec_dict(epochs=1), ds_dir,
+                           tmp_path / "out",
+                           stage1_checkpoint=str(run_dir / "checkpoint.rtc"))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "stage1_checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checkpoint.rtc").exists()
+
     def test_divergence_exits_3_with_diagnostics(self, ds_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json",
                            spec_dict(lr=1e8, epochs=8), ds_dir,
@@ -272,6 +293,19 @@ class TestTrainCmd:
         assert rec.prn is not None
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert np.isfinite(report["extra"]["wasserstein"]).all()
+        cas.validate_train_report(report["extra"]["base"])
+
+    def test_report_matches_library(self, ds_dir, tmp_path):
+        spec = spec_dict(epochs=1, prn={"hidden": 4, "critic_base": 4, "w_dist": 0.5,
+                                        "epochs": 1, "critic_steps": 1})
+        cfg = write_config(tmp_path / "cfg.json", spec, ds_dir, tmp_path / "out")
+        assert main(["train", "--config", str(cfg)]) == 0
+        got = json.loads((tmp_path / "out" / "report.json").read_text())
+        want = json.loads(json.dumps(cas.train(cas.CascadeSpec.from_dict(spec),
+                                               load_dataset(ds_dir)).to_dict()))
+        for d in (got, want, got["extra"]["base"], want["extra"]["base"]):
+            d.pop("wall_seconds"), d.pop("checkpoint")
+        assert got == want
 
 
 class TestReconstructCmd:
@@ -348,6 +382,19 @@ class TestReconstructCmd:
         assert main(["reconstruct", "--checkpoint", str(path), "--dataset",
                      str(ds_dir), "--out", str(tmp_path / "out")]) == 2
         assert next(iter(bad)) in capsys.readouterr().err
+
+    def test_huge_checkpoint_width_exits_2(self, run_dir, ds_dir, tmp_path, capsys):
+        # 10**12 channels is past the address space, so the allocation fails at once
+        box = RtcContainer.read(run_dir / "checkpoint.rtc")
+        meta = box.get_json("meta")
+        meta["spec"]["ki_hidden"] = 10 ** 12
+        del box.entries["meta"]
+        box.add_json("meta", meta)
+        path = tmp_path / "huge.rtc"
+        box.write(path)
+        assert main(["reconstruct", "--checkpoint", str(path), "--dataset",
+                     str(ds_dir), "--out", str(tmp_path / "out")]) == 2
+        assert "cannot build" in capsys.readouterr().err
 
     def test_family_mismatch_exits_2(self, run_dir, ds_multi_dir):
         assert main(["reconstruct", "--checkpoint",
@@ -464,6 +511,7 @@ class TestTrainContract:
     @example(dict(TINY_SPEC, lr=1e308))
     @example(dict(TINY_SPEC, family="vs_rsn", lam=3, alpha=float("nan")))
     @example(dict(TINY_SPEC, prn={"w_adv": float("inf")}))
+    @example(dict(TINY_SPEC, ki_hidden=10 ** 12))
     def test_exit_code_is_0_2_or_3(self, tiny_dirs, tmp_path_factory, d):
         run = tmp_path_factory.mktemp("contract")
         cfg = write_config(run / "cfg.json", d, tiny_dirs[dataset_kind(d)], run / "out")
