@@ -2,15 +2,23 @@
 
 A Tensor wraps an ndarray plus an optional gradient accumulator.  Ops build a
 DAG by storing parent references and a closure that routes the incoming
-gradient to each parent.  ``Tensor.backward`` walks the graph in reverse
-topological order; gradients written into ``.grad`` accumulate additively
-across calls, so two backward passes sum.
+gradient to each parent.  ``Tensor.backward`` walks the graph once, in
+reverse topological order, and frees it as it goes: each node drops its
+parents and closure once its closure has run, so an activation is released
+as soon as the last closure that reads it is done.  A second backward from
+the same root raises StateError; a walked node used in a new graph is a
+constant.  Gradients written into ``.grad`` accumulate additively across
+walks of separate graphs, so building a loss twice from the same leaves and
+walking each sums their gradients.
 
 Elementwise binary ops require operands of identical shape, except that a
 0-d tensor may scale/shift an array of any shape (needed for trainable
 scalar weights).  Other implicit broadcasts: the conv bias add and the coil
 expand of ``fidelity.cmul_const``.  Anything fancier must be spelled out with
 reshape, repeat_axis, or concat, which keeps gradient routing easy to audit.
+A ``ChannelStack`` is the channel concatenation of [B,C_k,H,W] tensors that
+is never built as one array: a stride-1 ``conv2d`` takes it as input and
+reads each part in place, so a concatenated copy never enters a graph.
 
 All ops work in float64 or float32: an op on float32 inputs returns float32
 and routes float32 gradients (tests/test_autodiff.py checks every op).  A
@@ -24,14 +32,16 @@ float32 for the duration of the loop and back to float64 afterwards.
 
 A graph keeps each op's parents plus what its backward closure holds.  A
 stride-1 ``conv2d`` (every convolution of the reconstruction networks)
-holds nothing beyond its input, a parent already.  Its forward and both
-gradients work one sample at a time: kh*kw shifted GEMMs over one
-zero-padded copy of the sample, rebuilt in backward, so their scratch is
-one sample's size.  Backward applies the activation derivative and sums
-the bias gradient inside that per-sample loop.  A strided ``conv2d`` (the
-critic) keeps its im2col patch matrix, kh*kw times its input, until
-backward.  Neither kind computes dx for a constant input (no grad, no
-parents).  ``conv2d(..., slope=s)`` applies ReLU (s = 0) or LeakyReLU
+holds nothing beyond its input, a parent already, or the parts of its
+``ChannelStack``.  Its forward and both gradients work one sample at a
+time: kh*kw shifted GEMMs over one zero-padded copy of the sample (each
+stacked part written into its own rows), rebuilt in backward, so their
+scratch is one sample's size.  Backward applies the activation derivative
+and sums the bias gradient inside that per-sample loop, and hands each
+stacked part that needs a gradient its channel slice of dx.  A strided
+``conv2d`` (the critic) keeps its im2col patch matrix, kh*kw times its
+input, until backward.  Neither kind computes dx for a constant input (no
+grad, no parents).  ``conv2d(..., slope=s)`` applies ReLU (s = 0) or LeakyReLU
 (0 < s < 1) in place on its output, so an activated conv keeps its
 activated output only: backward reads the derivative from the output's
 sign, and no pre-activation or mask lives in the graph.  ``maxpool2x2``
@@ -51,7 +61,7 @@ import contextlib
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, StateError
 
 
 class Tensor:
@@ -62,7 +72,7 @@ class Tensor:
     grad            ndarray accumulator, allocated lazily, never reset implicitly
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         if isinstance(data, Tensor):
@@ -106,9 +116,16 @@ class Tensor:
         """Accumulate d(self)/d(node) into every reachable node with requires_grad.
 
         ``seed`` defaults to ones, so calling backward on a 0-d loss seeds 1.0.
-        Flow gradients live in a private table during the walk; only at the end
-        are they added into ``.grad``, which makes repeated backward calls sum.
+        Flow gradients live in a private table during the walk and are added
+        into ``.grad``, so walks of separate graphs sum there.  The walk pops
+        each node off the topological order; once the node's closure has run,
+        or when it got no gradient, its parents and closure are dropped, so an
+        activation is freed as soon as the last closure reading it is done.
+        A walked graph is spent: a second backward from its root raises
+        StateError, and a walked node used again counts as a constant.
         """
+        if self._backward is _spent:
+            raise StateError("backward already walked this graph; build it again")
         if seed is None:
             seed = np.ones_like(self.data)
         else:
@@ -132,18 +149,20 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
+        del seen, stack
 
         flow = {id(self): seed}
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             g = flow.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad:
+            if g is not None and node.requires_grad:
                 if node.grad is None:
                     node.grad = np.zeros_like(node.data)
                 node.grad += g
             if node._backward is not None:
-                node._backward(g, flow)
+                if g is not None:
+                    node._backward(g, flow)
+                node._parents, node._backward = (), _spent
 
     # -- operator sugar -------------------------------------------------
 
@@ -201,6 +220,11 @@ def _as_tensor(x, like=None):
         return x
     dtype = like.dtype if like is not None else None
     return Tensor(np.asarray(x, dtype=dtype))
+
+
+def _spent(g, flow):
+    """The closure left on a node once a backward walk has passed it: it
+    routes nothing, so the node is a constant to any later graph."""
 
 
 def _flow_add(flow, node, g):
@@ -432,6 +456,35 @@ def concat(tensors, axis=0):
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
+class ChannelStack:
+    """The channel concatenation of [B,C_k,H,W] tensors, never built as one
+    array.  A stride-1 ``conv2d`` takes it as its input: it writes each
+    part's sample into its padded per-sample buffer and routes channel
+    slices of dx only to the parts that need a gradient.  ``shape``,
+    ``dtype`` and ``ndim`` are those of the whole stack."""
+
+    __slots__ = ("parts", "shape", "dtype")
+
+    def __init__(self, parts):
+        parts = tuple(_as_tensor(p) for p in parts)
+        if not parts:
+            raise ParameterError("ChannelStack of an empty sequence")
+        if any(p.ndim != 4 for p in parts):
+            raise DimensionError(f"ChannelStack needs [B,C,H,W] parts, got "
+                                 f"{[p.shape for p in parts]}")
+        bsz, _, h, w = parts[0].shape
+        if any(p.shape[0] != bsz or p.shape[2:] != (h, w) for p in parts):
+            raise DimensionError(f"ChannelStack parts differ off the channel axis: "
+                                 f"{[p.shape for p in parts]}")
+        self.parts = parts
+        self.shape = (bsz, sum(p.shape[1] for p in parts), h, w)
+        self.dtype = np.result_type(*(p.dtype for p in parts))
+
+    @property
+    def ndim(self):
+        return 4
+
+
 def repeat_axis(a, reps, axis):
     """Tile a length-1 axis ``reps`` times (explicit broadcast)."""
     a = _as_tensor(a)
@@ -532,20 +585,37 @@ def _window(flat, hp, wp, top, h, w):
     return flat[:, :hp * wp].reshape(-1, hp, wp)[:, top:top + h, top:top + w]
 
 
-def _conv_s1_forward(x, w, padding):
-    """Stride-1 conv2d, one sample at a time, as a [B,F,Ho,Wo] view of a
-    [B,F,Ho*Wp] accumulator whose last Wp-Wo columns per row are junk."""
-    bsz, c, h, wd = x.shape
+def _pad_sample(xf, xs, i, hp, wp, padding):
+    """Write sample i of the channel-stacked arrays xs into the padded flat
+    buffer xf, each array into its own rows."""
+    lo = 0
+    for x in xs:
+        c, h, wd = x.shape[1:]
+        _window(xf[lo:lo + c], hp, wp, padding, h, wd)[...] = x[i]
+        lo += c
+
+
+def _stack_dims(xs):
+    """(B, total C, H, W, dtype) of the channel-stacked arrays xs."""
+    bsz, _, h, wd = xs[0].shape
+    return bsz, sum(x.shape[1] for x in xs), h, wd, np.result_type(*xs)
+
+
+def _conv_s1_forward(xs, w, padding):
+    """Stride-1 conv2d of the channel-stacked arrays xs, one sample at a
+    time, as a [B,F,Ho,Wo] view of a [B,F,Ho*Wp] accumulator whose last
+    Wp-Wo columns per row are junk."""
+    bsz, c, h, wd, dtype = _stack_dims(xs)
     f, _, kh, kw = w.shape
     hp, wp = h + 2 * padding, wd + 2 * padding
     ho = hp - kh + 1
     n = ho * wp
     taps = [(w[:, :, u, v], u * wp + v) for u, v in np.ndindex(kh, kw)]
-    xf = np.zeros((c, hp * wp + kw - 1), dtype=x.dtype)
-    y = np.empty((bsz, f, n), dtype=np.result_type(w, x))
+    xf = np.zeros((c, hp * wp + kw - 1), dtype=dtype)
+    y = np.empty((bsz, f, n), dtype=np.result_type(w, dtype))
     tmp = np.empty((f, n), dtype=y.dtype)
     for i in range(bsz):
-        _window(xf, hp, wp, padding, h, wd)[...] = x[i]
+        _pad_sample(xf, xs, i, hp, wp, padding)
         np.matmul(taps[0][0], xf[:, :n], out=y[i])
         for w_uv, s in taps[1:]:
             y[i] += np.matmul(w_uv, xf[:, s:s + n], out=tmp)
@@ -565,24 +635,25 @@ def _conv_s1_dx(gf, w, xf, wp):
     return dxf
 
 
-def _conv_s1_backward(g, x, w, padding, y, slope, need_dx, need_db):
-    """(dx, dw, db) of the stride-1 conv2d, from x rather than a patch
-    matrix, one sample at a time.  With a slope, each sample's gradient is
-    first multiplied by the activation derivative read from the output y,
-    and if need_db its sum over the image is added to the bias gradient db.
-    dx is None unless need_dx, db None unless slope and need_db."""
-    bsz, c, h, wd = x.shape
+def _conv_s1_backward(g, xs, w, padding, y, slope, need_dx, need_db):
+    """(dx, dw, db) of the stride-1 conv2d, from the channel-stacked inputs
+    xs rather than a patch matrix, one sample at a time.  With a slope, each
+    sample's gradient is first multiplied by the activation derivative read
+    from the output y, and if need_db its sum over the image is added to the
+    bias gradient db.  dx, over the whole stack, is None unless need_dx; db
+    is None unless slope and need_db."""
+    bsz, c, h, wd, dtype = _stack_dims(xs)
     f, _, kh, kw = w.shape
     hp, wp = h + 2 * padding, wd + 2 * padding
     ho, wo = g.shape[2:]
     n = ho * wp
-    xf = np.zeros((c, hp * wp + kw - 1), dtype=x.dtype)
+    xf = np.zeros((c, hp * wp + kw - 1), dtype=dtype)
     gf = np.zeros((f, n), dtype=g.dtype)
-    dw_taps = np.empty((kh, kw, bsz, f, c), dtype=np.result_type(g, x))
+    dw_taps = np.empty((kh, kw, bsz, f, c), dtype=np.result_type(g, dtype))
     db = np.zeros(f, dtype=g.dtype) if slope is not None and need_db else None
-    dx = np.empty(x.shape, dtype=x.dtype) if need_dx and bsz > 1 else None
+    dx = np.empty((bsz, c, h, wd), dtype=dtype) if need_dx and bsz > 1 else None
     for i in range(bsz):
-        _window(xf, hp, wp, padding, h, wd)[...] = x[i]
+        _pad_sample(xf, xs, i, hp, wp, padding)
         gi = g[i]
         if slope is not None:
             gi = gi * act_derivative(y[i], slope)
@@ -652,10 +723,17 @@ def _conv_dw_raw(g, cols, w_shape, ho, wo):
 
 
 def conv2d(x, w, b=None, stride=1, padding=0, slope=None):
-    """2-d cross-correlation.  x:[B,C,H,W], w:[F,C,kh,kw] with odd kh,kw,
-    b:[F] or None.  Output [B,F,Ho,Wo].  ``slope`` is the activation after
-    the bias add: None is linear, 0 is ReLU, 0 < slope < 1 is LeakyReLU."""
-    x = _as_tensor(x)
+    """2-d cross-correlation.  x:[B,C,H,W], or for stride 1 a ChannelStack,
+    w:[F,C,kh,kw] with odd kh,kw, b:[F] or None.  Output [B,F,Ho,Wo].
+    ``slope`` is the activation after the bias add: None is linear, 0 is
+    ReLU, 0 < slope < 1 is LeakyReLU."""
+    if isinstance(x, ChannelStack):
+        if stride != 1:
+            raise ParameterError(f"a ChannelStack input needs stride 1, got {stride}")
+        parts = x.parts
+    else:
+        x = _as_tensor(x)
+        parts = (x,)
     w = _as_tensor(w)
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError("conv2d expects x[B,C,H,W] and w[F,C,kh,kw]")
@@ -672,10 +750,11 @@ def conv2d(x, w, b=None, stride=1, padding=0, slope=None):
             raise DimensionError(f"conv2d bias shape {b.shape} != ({f},)")
 
     if stride == 1:
-        y = _conv_s1_forward(x.data, w.data, padding)
+        y = _conv_s1_forward([p.data for p in parts], w.data, padding)
 
         def grads(g, s, need_dx):
-            return _conv_s1_backward(g, x.data, w.data, padding, y, s, need_dx, b is not None)
+            return _conv_s1_backward(g, [p.data for p in parts], w.data, padding, y, s,
+                                     need_dx, b is not None)
     else:
         cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
         y = np.matmul(w.data.reshape(f, -1), cols).reshape(x.shape[0], f, ho, wo)
@@ -694,14 +773,18 @@ def conv2d(x, w, b=None, stride=1, padding=0, slope=None):
             # in one pairwise pass over the batch, unlike a per-sample total
             g, s = g * act_derivative(y, s), None
         # a constant input (no grad, no parents) needs no dx
-        dx, dw, db = grads(g, s, x.requires_grad or bool(x._parents))
+        dx, dw, db = grads(g, s, any(p.requires_grad or p._parents for p in parts))
         _flow_add(flow, w, dw)
         if dx is not None:
-            _flow_add(flow, x, dx)
+            lo = 0
+            for p in parts:
+                if p.requires_grad or p._parents:
+                    _flow_add(flow, p, dx[:, lo:lo + p.shape[1]])
+                lo += p.shape[1]
         if b is not None:
             _flow_add(flow, b, g.sum(axis=(0, 2, 3)) if db is None else db)
 
-    parents = (x, w) if b is None else (x, w, b)
+    parents = parts + ((w,) if b is None else (w, b))
     return _make(y, parents, backward)
 
 

@@ -173,6 +173,8 @@ class CascadeSpec:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"spec must be a JSON object, got {d!r:.200}")
         known = set(cls.__dataclass_fields__)
         unknown = set(d) - known
         if unknown:
@@ -481,24 +483,38 @@ def load_checkpoint(path):
     if info["has_golf"]:
         g = _meta(info.get("golf"), _GOLF_META + ("trained",), "golf meta")
         trained = g.pop("trained")
-        golf = GolfModule(**g, rng=np.random.default_rng(spec.seed))
+        golf = _build("guidance module",
+                      lambda: GolfModule(**g, rng=np.random.default_rng(spec.seed)))
         _load_group(box, "golf/", golf)
         golf.trained = bool(trained)
     if info["has_prn"]:
-        prn = PrnBlock(**_meta(info.get("prn"), _PRN_META, "prn meta"),
-                       rng=np.random.default_rng(spec.seed))
+        kw = _meta(info.get("prn"), _PRN_META, "prn meta")
+        prn = _build("refiner", lambda: PrnBlock(
+            **kw, rng=np.random.default_rng(spec.seed)))
         _load_group(box, "prn/", prn)
     return Reconstructor(spec, model, stage1=stage1, golf=golf, prn=prn)
 
 
+def _build(what, make):
+    """make(), with a MemoryError (a width too large to allocate) raised as
+    a ConfigError."""
+    try:
+        return make()
+    except MemoryError as exc:
+        raise ConfigError(f"cannot build the {what}: {exc}") from None
+
+
 def build_model(spec, rng=None):
     spec.validate()
-    try:
-        if spec.family == "dc_rsn":
-            return DcRsn(spec, rng=rng)
-        return VsRsn(spec, rng=rng)
-    except MemoryError as exc:   # a width too large to allocate
-        raise ConfigError(f"cannot build the model: {exc}") from None
+    family = DcRsn if spec.family == "dc_rsn" else VsRsn
+    return _build("model", lambda: family(spec, rng=rng))
+
+
+def _golf_module(spec):
+    """The untrained guidance module of a golf spec, on its own rng."""
+    return _build("guidance module", lambda: GolfModule(
+        feature_depth=spec.golf_feature_depth, base=spec.golf_base,
+        depth=spec.golf_depth, rng=np.random.default_rng(spec.seed + 1)))
 
 
 def _base_spec(spec):
@@ -664,15 +680,16 @@ def _fit_and_report(spec, dataset, t0, out_dir, feats=None, stage1=None,
 def train(spec, dataset, out_dir=None, stage1_checkpoint=None):
     """Train every stage ``spec`` asks for; returns the last stage's report.
 
-    Spec, dataset and refiner are checked or built before anything trains.
-    A golf spec trains its base model (or takes the bare model of
-    ``stage1_checkpoint``), then the guidance module, then a fresh injected
-    model on the frozen features.  Each cascade fit is deterministic in
-    spec.seed, halves the learning rate and restarts once if the train loss
-    rises during the first three epochs, aborts on non-finite loss and keeps
-    best-validation weights.  A ``prn`` spec then trains the refiner on the
-    cascade, and its report keeps the cascade's under ``extra["base"]``.
-    Only the last stage writes the checkpoint to ``out_dir``.
+    Spec and dataset are checked, and the guidance module and refiner
+    built, before anything trains.  A golf spec trains its base model (or
+    takes the bare model of ``stage1_checkpoint``), then the guidance
+    module, then a fresh injected model on the frozen features.  Each
+    cascade fit is deterministic in spec.seed, halves the learning rate and
+    restarts once if the train loss rises during the first three epochs,
+    aborts on non-finite loss and keeps best-validation weights.  A ``prn``
+    spec then trains the refiner on the cascade, and its report keeps the
+    cascade's under ``extra["base"]``.  Only the last stage writes the
+    checkpoint to ``out_dir``.
     """
     spec.validate()
     _check_dataset(spec, dataset)
@@ -683,10 +700,12 @@ def train(spec, dataset, out_dir=None, stage1_checkpoint=None):
     train_ids, val_ids = dataset.indices("train"), dataset.indices("val")
     if not train_ids or not val_ids:
         raise ConfigError("dataset needs nonempty train and val splits")
+    module = _golf_module(spec) if guided else None
     block = None
     if spec.prn is not None:
-        block = PrnBlock(**{k: v for k, v in spec.prn.items() if k in _PRN_BLOCK},
-                         rng=np.random.default_rng(spec.seed + 9))
+        kw = {k: v for k, v in spec.prn.items() if k in _PRN_BLOCK}
+        block = _build("refiner", lambda: PrnBlock(
+            **kw, rng=np.random.default_rng(spec.seed + 9)))
     t0 = time.perf_counter()
     stages = {}
     if guided:
@@ -699,7 +718,7 @@ def train(spec, dataset, out_dir=None, stage1_checkpoint=None):
         else:
             stage1_report = _fit_and_report(base, dataset, time.perf_counter(), None)
             stage1 = stage1_report.model.model
-        module, curves = _train_golf_module(spec, dataset.staged, train_ids, val_ids)
+        curves = _train_golf_module(module, spec, dataset.staged, train_ids, val_ids)
         guide = Reconstructor(spec, None, stage1=stage1, golf=module)
         stages = dict(
             feats={i: guide._features(dataset.staged, [i], dataset.mask)[0]
@@ -721,12 +740,9 @@ def train(spec, dataset, out_dir=None, stage1_checkpoint=None):
 
 # -- two-stage guidance training ----------------------------------------
 
-def _train_golf_module(spec, staged, train_ids, val_ids):
-    """Regress gol(target) from the target magnitude; returns the trained
-    module plus its loss curves."""
-    module = GolfModule(feature_depth=spec.golf_feature_depth,
-                        base=spec.golf_base, depth=spec.golf_depth,
-                        rng=np.random.default_rng(spec.seed + 1))
+def _train_golf_module(module, spec, staged, train_ids, val_ids):
+    """Train ``module`` to regress gol(target) from the target magnitude;
+    returns its loss curves."""
     gol_maps = {i: gol(staged[i]["target_mag"], eps=module.eps)
                 for i in train_ids + val_ids}
     xs = {i: staged[i]["target_mag"][None].astype(TRAIN_DTYPE)
@@ -755,7 +771,7 @@ def _train_golf_module(spec, staged, train_ids, val_ids):
             with ad.no_grad():
                 curves["val"].append(float(mse_loss(module.predict_gol(Tensor(xv)), yv).data))
     module.trained = True
-    return module, curves
+    return curves
 
 
 # -- t1 misregistration sweep -----------------------------------------

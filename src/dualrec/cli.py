@@ -46,6 +46,11 @@ def load_run_config(path):
     for key in ("spec", "dataset", "out"):
         if key not in raw:
             raise ConfigError(f"config is missing required field {key!r}")
+    for key in ("dataset", "out", "stage1_checkpoint"):
+        v = raw.get(key)
+        if not isinstance(v, str) and not (key == "stage1_checkpoint" and v is None):
+            kind = "a string or null" if key == "stage1_checkpoint" else "a string"
+            raise ConfigError(f"config field {key!r} must be {kind}, got {v!r:.200}")
     return {"spec": cas.CascadeSpec.from_dict(raw["spec"]),
             "dataset": raw["dataset"], "out": raw["out"],
             "stage1_checkpoint": raw.get("stage1_checkpoint")}

@@ -19,6 +19,9 @@ The block vocabulary:
   spectrum replacement, plus the critic used to train it adversarially.
 
 Complex images travel as 2-channel (re, im) tensors of shape [B,2,H,W].
+The inputs of the Fu net and of each UNet decoder stage are channel stacks
+(``autodiff.ChannelStack``) that their first convolution reads in place, so
+no concatenated copy enters a graph.
 Every convolution followed by an activation is one ``Conv2d`` built with a
 ``slope`` (ReLU, or LeakyReLU 0.2 in the critic), so a training graph keeps
 the activated outputs only.
@@ -140,9 +143,9 @@ class UNet(Module):
         t = self.mid(t)
         features = []
         for up, dec, skip in zip(self._ups, self._dec, reversed(skips)):
-            t = up(t)
-            t = dec(ad.concat([skip, t], axis=1))
-            features.append(t)
+            t = dec(ad.ChannelStack([skip, up(t)]))
+            if return_features:
+                features.append(t)
         out = self.final(t)
         if golf is not None:
             if self.inject is None:
@@ -294,7 +297,7 @@ class RsnBlock(Module):
             stack.append(us_image)
         if self.t1_assist:
             stack.append(t1)
-        return self.fu(ad.concat(stack, axis=1))
+        return self.fu(ad.ChannelStack(stack))
 
 
 class GolfModule(Module):

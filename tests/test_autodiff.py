@@ -1,7 +1,9 @@
 """Engine tests: loop-nest oracles for the spatial ops, finite differences
 for every backward rule, and closed-form optimizer checks."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,9 +14,9 @@ from dualrec import autodiff as ad
 from dualrec import cascade as cas
 from dualrec.autodiff import (Adam, OptimizerState, Parameter, Tensor,
                               adam_step, grad_check)
-from dualrec.errors import DimensionError, ParameterError
+from dualrec.errors import DimensionError, ParameterError, StateError
 from dualrec.fidelity import cmul_const, df_single_t, vs_x_update_t, wab_t
-from dualrec.fourier import fft2_t, ifft2_t
+from dualrec.fourier import fft2_t, ifft2c, ifft2_t
 from dualrec.layers import mse_loss
 from dualrec.masks import make_mask
 from dualrec.networks import DoubleConv, PrnBlock
@@ -416,15 +418,16 @@ class TestFusedActivation:
             assert _same_bits(got, want)
 
     def test_two_backward_calls_double_grads(self):
+        # a graph is walked once, so the second pass builds it again from the
+        # same leaves; their gradients accumulate across the two walks
         rng = np.random.default_rng(2)
         x = Parameter(rng.normal(size=(2, 3, 6, 6)))
         w = Parameter(rng.normal(size=(4, 3, 3, 3)))
         b = Parameter(rng.normal(size=4))
-        y = ad.conv2d(x, w, b, padding=1, slope=0)
-        seed = rng.normal(size=y.shape)
-        y.backward(seed)
+        seed = rng.normal(size=(2, 4, 6, 6))
+        ad.conv2d(x, w, b, padding=1, slope=0).backward(seed)
         first = [p.grad.copy() for p in (x, w, b)]
-        y.backward(seed)
+        ad.conv2d(x, w, b, padding=1, slope=0).backward(seed)
         for p, g in zip((x, w, b), first):
             assert np.array_equal(p.grad, 2.0 * g)
 
@@ -626,6 +629,84 @@ class TestPerSampleConv:
             assert _same_bits(got, want)
 
 
+@st.composite
+def stack_cases(draw):
+    """1-3 channel-stacked parts of a stride-1 conv's input, each trainable
+    or constant, with the conv's weight, optional bias, padding, slope and
+    output seed, in float32 or float64."""
+    chans = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    trainable = [draw(st.booleans()) for _ in chans]
+    bs, f = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    k, padding = draw(st.sampled_from((1, 3))), draw(st.sampled_from((0, 1)))
+    h, w = draw(st.integers(3, 6)), draw(st.integers(3, 6))
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    slope = draw(st.sampled_from((None, 0, 0.2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = [rng.normal(size=(bs, c, h, w)).astype(dtype) for c in chans]
+    wt = rng.normal(size=(f, sum(chans), k, k)).astype(dtype)
+    b = rng.normal(size=f).astype(dtype) if draw(st.booleans()) else None
+    ho, wo = h + 2 * padding - k + 1, w + 2 * padding - k + 1
+    seed = rng.normal(size=(bs, f, ho, wo)).astype(dtype)
+    return parts, trainable, wt, b, padding, slope, seed
+
+
+class TestChannelStack:
+    @given(stack_cases())
+    def test_conv_matches_conv_of_concat_bitwise(self, case):
+        parts, trainable, w, b, padding, slope, seed = case
+        runs = []
+        for stacked in (True, False):
+            xs = [Parameter(p.copy()) if t else Tensor(p.copy())
+                  for p, t in zip(parts, trainable)]
+            wt = Parameter(w.copy())
+            bt = None if b is None else Parameter(b.copy())
+            x = ad.ChannelStack(xs) if stacked else ad.concat(xs, axis=1)
+            y = ad.conv2d(x, wt, bt, padding=padding, slope=slope)
+            routed = []
+            flow_add = ad._flow_add
+
+            def spy(flow, node, g):
+                routed.append(node)
+                flow_add(flow, node, g)
+
+            ad._flow_add = spy
+            try:
+                y.backward(seed)
+            finally:
+                ad._flow_add = flow_add
+            if stacked:     # a constant part gets no dx
+                constants = [p for p, t in zip(xs, trainable) if not t]
+                assert not any(n is p for n in routed for p in constants)
+            runs.append([y.data, wt.grad, None if bt is None else bt.grad]
+                        + [p.grad for p in xs])
+        for got, want in zip(*runs):
+            assert (got is None and want is None) or _same_bits(got, want)
+
+    def test_shape_dtype_and_ndim_are_the_whole_stack(self):
+        a = Tensor(np.zeros((2, 3, 4, 5), np.float32))
+        b = Tensor(np.zeros((2, 1, 4, 5), np.float64))
+        s = ad.ChannelStack([a, b])
+        assert (s.shape, s.dtype, s.ndim) == ((2, 4, 4, 5), np.float64, 4)
+        assert s.dtype == ad.concat([a, b], axis=1).dtype
+
+    def test_bad_stacks_rejected(self):
+        x = Tensor(np.zeros((2, 3, 4, 4)))
+        with pytest.raises(ParameterError):
+            ad.ChannelStack([])
+        with pytest.raises(DimensionError):
+            ad.ChannelStack([x, Tensor(np.zeros((2, 3, 4)))])
+        for other in (np.zeros((1, 3, 4, 4)), np.zeros((2, 3, 4, 2))):
+            with pytest.raises(DimensionError):
+                ad.ChannelStack([x, Tensor(other)])
+        with pytest.raises(DimensionError):
+            ad.conv2d(ad.ChannelStack([x, x]), np.zeros((1, 3, 3, 3)))
+
+    def test_strided_conv_rejects_a_stack(self):
+        x = Tensor(np.zeros((1, 2, 8, 8)))
+        with pytest.raises(ParameterError, match="stride 1"):
+            ad.conv2d(ad.ChannelStack([x, x]), np.zeros((1, 4, 3, 3)), stride=2, padding=1)
+
+
 class TestGraphSemantics:
     def test_diamond_graph_accumulates(self):
         x = Tensor(np.asarray(3.0), requires_grad=True)
@@ -634,12 +715,54 @@ class TestGraphSemantics:
         assert abs(float(x.grad) - 7.0) < 1e-12
 
     def test_two_backward_passes_sum(self):
+        # one graph per walk, built twice from the same leaf
+        x = Tensor(np.asarray(2.0), requires_grad=True)
+        ad.mul(x, x).backward()
+        first = float(x.grad)
+        ad.mul(x, x).backward()
+        assert abs(float(x.grad) - 2.0 * first) < 1e-12
+
+    def test_second_walk_of_a_graph_raises(self):
         x = Tensor(np.asarray(2.0), requires_grad=True)
         y = ad.mul(x, x)
+        z = ad.add(y, x)
+        z.backward()
+        for node in (z, y):
+            with pytest.raises(StateError, match="already walked"):
+                node.backward()
+        assert float(x.grad) == 5.0
+
+    def test_walked_node_is_a_constant_to_a_new_graph(self):
+        x = Tensor(np.asarray(3.0), requires_grad=True)
+        y = ad.mul(x, x)
         y.backward()
-        first = float(x.grad)
-        y.backward()
-        assert abs(float(x.grad) - 2.0 * first) < 1e-12
+        x.zero_grad()
+        ad.mul(y, x).backward()     # y is 9 now, with nothing behind it
+        assert float(x.grad) == 9.0
+
+    def test_walk_frees_each_interior_node(self):
+        """After backward on a tiny DC-RSN training step, every interior
+        node is gone while the loss itself is still held; no collector pass
+        is needed, as the walk drops the references itself."""
+        spec = cas.CascadeSpec(n_b=2, mode="fu_with_us", size=32, ki_hidden=2,
+                               ii_base=2, ii_depth=1, fu_hidden=2)
+        model = cas.build_model(spec)
+        rng = np.random.default_rng(0)
+        mask = make_mask("cartesian", 32, 32, 4, seed=0)
+        us_k = np.where(mask.bits, rng.normal(size=(2, 32, 32))
+                        + 1j * rng.normal(size=(2, 32, 32)), 0)
+        us_image = Tensor(np.stack([ifft2c(us_k).real, ifft2c(us_k).imag], axis=1))
+        gc.disable()
+        try:
+            loss = mse_loss(model(us_image, us_k, mask), np.zeros((2, 2, 32, 32)))
+            refs = [weakref.ref(n) for n in _nodes(loss) if n._parents and n is not loss]
+            assert len(refs) > 50
+            loss.backward()
+            assert [r for r in refs if r() is not None] == []
+            assert loss.data.shape == () and not loss._parents
+        finally:
+            gc.enable()
+        assert all(p.grad is not None for p in model.parameters())
 
     def test_relu_backward_matches_fd_away_from_kink(self):
         rng = np.random.default_rng(7)

@@ -13,6 +13,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dualrec
@@ -82,3 +83,29 @@ def test_tracing_and_clock_fit_train_and_reconstruct(bench_modules, tmp_path):
     after = _bindings(modules)
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())
+
+
+def test_traced_conv_spans_read_the_whole_channel_stack(bench_modules):
+    """A UNet decoder conv reads a ChannelStack; the traced conv2d spans
+    must count its flops over every stacked channel, forward and backward."""
+    instrument, spans = bench_modules
+    stats = importlib.import_module("stats")
+    unet = dualrec.networks.UNet(2, 2, base=4, depth=2, rng=np.random.default_rng(0))
+    x = dualrec.autodiff.Tensor(np.random.default_rng(1).normal(size=(2, 2, 16, 16)))
+    # the convs in call order, with the side of the image each one sees
+    convs = [(unet.enc0.c1, 16), (unet.enc0.c2, 16), (unet.enc1.c1, 8), (unet.enc1.c2, 8),
+             (unet.mid.c1, 4), (unet.mid.c2, 4), (unet.dec1.c1, 8), (unet.dec1.c2, 8),
+             (unet.dec0.c1, 16), (unet.dec0.c2, 16), (unet.final, 16)]
+    want = [stats.conv2d_flops((2, c.w.shape[1], n, n), c.w.shape, 1, 1) for c, n in convs]
+    tracer = spans.Tracer()
+    patcher = instrument.Patcher()
+    try:
+        instrument.install_tracing(patcher, tracer, _dualrec_modules())
+        dualrec.layers.mse_loss(unet(x), np.zeros((2, 2, 16, 16))).backward()
+    finally:
+        patcher.undo()
+    fwd = [s.attrs["flops"] for s in tracer.spans if s.name == "autodiff.conv2d"]
+    bwd = [s.attrs["flops"] for s in tracer.spans if s.name == "autodiff.conv2d.bwd"]
+    assert unet.dec1.c1.w.shape[1] == 16 and unet.dec0.c1.w.shape[1] == 8
+    assert fwd == want
+    assert sorted(bwd) == sorted(2 * f for f in want)

@@ -15,8 +15,8 @@ from dualrec.errors import (ConfigError, ContainerError, DimensionError,
 from dualrec.fidelity import SensitivitySet
 from dualrec.fourier import ComplexGrid, fft2c, ifft2c
 from dualrec.masks import SamplingMask, apply_mask, make_mask
-from dualrec.phantoms import (Dataset, PhantomSpec, gen_coil_maps, gen_phantom,
-                              load_dataset, make_dataset)
+from dualrec.phantoms import (Dataset, PhantomSpec, RtcContainer, gen_coil_maps,
+                              gen_phantom, load_dataset, make_dataset)
 
 
 def chan(z):
@@ -109,6 +109,11 @@ class TestCascadeSpec:
     def test_validate_rejects(self, kw):
         with pytest.raises(ConfigError):
             small_spec(**kw).validate()
+
+    @pytest.mark.parametrize("d", [[], 5, None, "spec", [("n_b", 2)]], ids=repr)
+    def test_non_object_rejected(self, d):
+        with pytest.raises(ConfigError, match="JSON object"):
+            cas.CascadeSpec.from_dict(d)
 
     def test_bad_lam_string(self):
         d = small_spec().to_dict()
@@ -506,9 +511,9 @@ class TestTwoStageGolf:
         rep_plain = cas.train(spec_plain, ds_paired)
         staged = ds_paired.staged
         ids = ds_paired.indices("val")
-        module, _ = cas._train_golf_module(
-            small_spec(assists="golf", epochs=1, seed=31), staged,
-            ds_paired.indices("train"), ids)
+        golf_spec = small_spec(assists="golf", epochs=1, seed=31)
+        module = cas._golf_module(golf_spec)
+        cas._train_golf_module(module, golf_spec, staged, ds_paired.indices("train"), ids)
         guide_t1 = cas.Reconstructor(replace(spec_t1, assists="t1_golf"), None,
                                      stage1=rep_t1.model.model, golf=module)
         guide_plain = cas.Reconstructor(replace(spec_plain, assists="golf"), None,
@@ -614,6 +619,31 @@ class TestDriver:
         bare = cas.Reconstructor(spec, rep.model.model)
         assert base["final_ssim"] == cas.evaluate_model(bare, ds_single).mean("ssim")
         cas.validate_train_report(base)
+
+    # 10**12 refiner channels (1.4e14 bytes in its first conv) and 10**13
+    # guidance channels (7.2e14 bytes) are past a 47-bit address space, so
+    # the first allocation fails at once whatever the overcommit policy
+    @pytest.mark.parametrize("kw", [dict(prn={"hidden": 10 ** 12}),
+                                    dict(assists="golf", golf_base=10 ** 13)], ids=str)
+    def test_huge_module_width_rejected_before_training(self, ds_single, monkeypatch,
+                                                         kw):
+        monkeypatch.setattr(cas, "_fit", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(ConfigError, match="cannot build"):
+            cas.train(small_spec(**kw), ds_single)
+
+    @pytest.mark.parametrize("group, key, value", [("golf", "base", 10 ** 13),
+                                                   ("prn", "hidden", 10 ** 12)])
+    def test_huge_checkpoint_module_width_rejected(self, golf_report, prn_report,
+                                                   tmp_path, group, key, value):
+        src = golf_report if group == "golf" else prn_report
+        box = RtcContainer.read(src.checkpoint)
+        meta = box.get_json("meta")
+        meta[group][key] = value
+        del box.entries["meta"]
+        box.add_json("meta", meta)
+        box.write(tmp_path / "huge.rtc")
+        with pytest.raises(ConfigError, match="cannot build"):
+            cas.load_checkpoint(tmp_path / "huge.rtc")
 
 
 @pytest.fixture

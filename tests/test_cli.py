@@ -188,6 +188,20 @@ class TestTrainCmd:
         assert main(["train", "--config", str(path)]) == 2
         assert not (tmp_path / "out" / "checkpoint.rtc").exists()   # failed before training
 
+    @pytest.mark.parametrize("field, value", [
+        ("dataset", 5), ("dataset", None), ("out", ["out"]),
+        ("stage1_checkpoint", 5), ("stage1_checkpoint", {}),
+        ("spec", []), ("spec", 5), ("spec", None)], ids=str)
+    def test_wrongly_typed_config_field_exits_2(self, ds_dir, tmp_path, capsys,
+                                                field, value):
+        cfg = write_config(tmp_path / "cfg.json", spec_dict(), ds_dir, tmp_path / "out")
+        raw = json.loads(cfg.read_text())
+        raw[field] = value
+        cfg.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
     def test_non_finite_alpha_exits_2_before_training(self, ds_multi_dir, tmp_path,
                                                       alpha, capsys):
@@ -512,6 +526,7 @@ class TestTrainContract:
     @example(dict(TINY_SPEC, family="vs_rsn", lam=3, alpha=float("nan")))
     @example(dict(TINY_SPEC, prn={"w_adv": float("inf")}))
     @example(dict(TINY_SPEC, ki_hidden=10 ** 12))
+    @example(dict(TINY_SPEC, prn={"hidden": 10 ** 12}))
     def test_exit_code_is_0_2_or_3(self, tiny_dirs, tmp_path_factory, d):
         run = tmp_path_factory.mktemp("contract")
         cfg = write_config(run / "cfg.json", d, tiny_dirs[dataset_kind(d)], run / "out")

@@ -171,6 +171,20 @@ def _small_block(mode, **kw):
                        fu_hidden=16, rng=np.random.default_rng(9), **kw)
 
 
+def _graph(root):
+    found, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in found:
+            found[id(node)] = node
+            stack.extend(node._parents)
+    return list(found.values())
+
+
+def _op(node):
+    return node._backward.__qualname__.split(".")[0] if node._backward else None
+
+
 class TestRsnBlock:
     @pytest.mark.parametrize("mode", nw.RSN_MODES)
     def test_shapes_and_zero_filled_start(self, mode):
@@ -240,6 +254,28 @@ class TestRsnBlock:
         inj = _small_block("fu_with_us", golf_inject=True)
         assert np.array_equal(inj(us_img, us_k, golf=golf).data,
                               base(us_img, us_k).data)
+
+    def test_training_graph_stacks_conv_inputs_in_place(self):
+        """The Fu net and the UNet decoder read their stacked inputs in place:
+        the UNet builds no concat node, and the block's only one is the KI
+        layer's re/im pair, read by the KI refinement head."""
+        block = nw.RsnBlock(16, "fu_with_us", t1_assist=True, ki_hidden=4, ii_base=2,
+                            ii_depth=2, fu_hidden=16, rng=np.random.default_rng(3),
+                            dtype=np.float32)
+        gen = np.random.default_rng(4)
+        us_img, us_k, t1 = (Tensor(gen.normal(size=(2, 2, 16, 16)).astype(np.float32))
+                            for _ in range(3))
+        ops = {}
+        for root, name in ((ad.mean_all(block(us_img, us_k, t1=t1)), "block"),
+                           (ad.mean_all(block.ii(us_img)), "unet")):
+            ops[name] = [(_op(n), [_op(p) for p in n._parents]) for n in _graph(root)]
+        assert not any(op == "concat" for op, _ in ops["unet"])
+        assert sum(op == "concat" for op, _ in ops["block"]) == 1
+        assert sum(op == "conv2d" and "concat" in parents
+                   for op, parents in ops["block"]) == 1
+        # the Fu net's first conv reads KI, II, the input and T1, then w and b
+        assert ["add", "add", None, None, None, None] in [
+            parents for op, parents in ops["block"] if op == "conv2d"]
 
     def test_gradients_match_finite_differences(self):
         block = _small_block("fu_with_us", t1_assist=True)
