@@ -16,26 +16,27 @@ turns staged samples into model inputs: training, validation, scoring and
 the guidance features all go through it.
 
 Training is plain MSE + Adam, deterministic given the spec seed.  Every
-training loop runs its forward pass, backward pass and optimizer step in
-TRAIN_DTYPE (float32): it casts the parameters to float32 in place for the
-loop and back to float64 when the loop ends, however it ends; ``forward``
-casts each batch to the parameters' precision.  Staged data, inference,
-checkpoints and metrics are float64.  ``train`` runs every stage a spec
-asks for.  Assisted variants: ``golf`` trains in two stages (base model,
-then a guidance-feature module, then a fresh injected model fed frozen
-features, computed by the same ``Reconstructor._features`` that inference
-calls); ``t1`` stacks a registered companion contrast into the fusion
-input, with random circular shifts of up to ``t1_shift`` pixels for
-robustness; ``t1_golf`` combines both.  A ``prn`` spec then trains a
-refiner adversarially on the cascade.
+stage (each cascade fit, the guidance module, the refiner) trains in one
+epoch loop, ``_run_epochs``: forward pass, backward pass and optimizer step
+run in TRAIN_DTYPE (float32), the parameters cast in place for the run and
+back to float64 however it ends, and a non-finite loss, gradient norm or
+validation loss aborts any stage alike.  ``forward`` casts each batch to
+the parameters' precision.  Staged data, inference, checkpoints and metrics
+are float64.  ``train`` runs every stage a spec asks for.  Assisted
+variants: ``golf`` trains in two stages (base model, then a guidance-feature
+module, then a fresh injected model fed frozen features, computed by the
+same ``Reconstructor._features`` that inference calls); ``t1`` stacks a
+registered companion contrast into the fusion input, with random circular
+shifts of up to ``t1_shift`` pixels for robustness; ``t1_golf`` combines
+both.  A ``prn`` spec then trains a refiner adversarially on the cascade.
 
 Checkpoints are RTC containers holding every parameter plus a JSON meta
 entry, bundling whatever pieces inference needs (stage-1 model, guidance
 module, refiner) so a checkpoint is always self-sufficient.
 """
 
-import contextlib
 import inspect
+import json
 import math
 import numbers
 import time
@@ -381,19 +382,11 @@ class TrainReport:
     stage1: object = None   # stage-1 TrainReport when two-stage; not serialized
 
     def to_dict(self):
-        d = {"schema": 1}
-        for k in ("family", "assists", "epochs_run", "train_loss", "val_loss",
-                  "best_epoch", "best_val_loss", "final_psnr", "final_ssim",
-                  "final_vif", "wall_seconds", "lr_used", "retried",
-                  "checkpoint", "extra"):
-            d[k] = getattr(self, k)
-        return d
+        return {"schema": 1, **{k: getattr(self, k) for k in _REPORT_KEYS[1:]}}
 
 
-_REPORT_KEYS = ("schema", "family", "assists", "epochs_run", "train_loss",
-                "val_loss", "best_epoch", "best_val_loss", "final_psnr",
-                "final_ssim", "final_vif", "wall_seconds", "lr_used",
-                "retried", "checkpoint", "extra")
+_REPORT_KEYS = ("schema",) + tuple(k for k in TrainReport.__dataclass_fields__
+                                   if k not in ("model", "stage1"))
 
 
 def validate_train_report(d):
@@ -410,20 +403,24 @@ def validate_train_report(d):
         raise ConfigError("loss curves must have one entry per epoch")
     for k in ("best_val_loss", "final_psnr", "final_ssim", "final_vif",
               "wall_seconds", "lr_used"):
-        if not isinstance(d[k], (int, float)) or not math.isfinite(d[k]):
-            raise ConfigError(f"report field {k} must be finite")
+        if not isinstance(d[k], (int, float)):
+            raise ConfigError(f"report field {k} must be a number")
+    try:
+        json.dumps(d, allow_nan=False)
+    except (TypeError, ValueError) as exc:    # a non-finite or non-JSON value
+        raise ConfigError(f"report is not strict JSON: {exc}") from None
     return d
 
 
 # -- checkpoints ---------------------------------------------------------
 
 def save_checkpoint(path, rec, meta=None):
-    """Write a Reconstructor to one RTC file (weights + JSON meta)."""
+    """Write a Reconstructor to one RTC file (weights + JSON meta), making
+    its directory if need be."""
     box = RtcContainer()
+    groups = {"model": rec.model, "stage1": rec.stage1, "golf": rec.golf, "prn": rec.prn}
     info = {"format": 1, "spec": rec.spec.to_dict(),
-            "has_stage1": rec.stage1 is not None,
-            "has_golf": rec.golf is not None,
-            "has_prn": rec.prn is not None}
+            **{f"has_{g}": groups[g] is not None for g in ("stage1", "golf", "prn")}}
     if rec.golf is not None:
         info["golf"] = {"feature_depth": rec.golf.feature_depth,
                         "base": rec.spec.golf_base, "depth": rec.spec.golf_depth,
@@ -436,17 +433,11 @@ def save_checkpoint(path, rec, meta=None):
     if meta:
         info["meta"] = meta
     box.add_json("meta", info)
-    for name, p in rec.model.named_parameters():
-        box.add("model/" + name, p.data)
-    if rec.stage1 is not None:
-        for name, p in rec.stage1.named_parameters():
-            box.add("stage1/" + name, p.data)
-    if rec.golf is not None:
-        for name, p in rec.golf.named_parameters():
-            box.add("golf/" + name, p.data)
-    if rec.prn is not None:
-        for name, p in rec.prn.named_parameters():
-            box.add("prn/" + name, p.data)
+    for g, part in groups.items():
+        if part is not None:
+            for name, p in part.named_parameters():
+                box.add(f"{g}/{name}", p.data)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     box.write(path)
     return str(path)
 
@@ -525,37 +516,92 @@ def _base_spec(spec):
 
 # -- core training loop --------------------------------------------------
 
-@contextlib.contextmanager
-def _training_precision(module):
-    """Cast module's parameters to TRAIN_DTYPE in place for the block, and
-    back to float64, gradients dropped, however the block ends."""
-    params = module.parameters()
-    for p in params:
-        p.data = p.data.astype(TRAIN_DTYPE)
-    try:
-        yield
-    finally:
-        for p in params:
-            p.data = p.data.astype(np.float64)
-            p.grad = None
-
-
 def _batched(order, batch):
     for i in range(0, len(order), batch):
         yield list(order[i:i + batch])
 
 
+def _run_epochs(module, optimizers, epochs, batch, order, step, validate=None):
+    """The epoch loop of every training stage: the cascade fits, the
+    guidance module and the refiner.  Returns the "train", "val" and "init"
+    losses.  ``module`` is TRAIN_DTYPE for the run and float64 again however
+    it ends; ``optimizers()`` builds the stage's optimizers inside that cast.
+    ``step(ids, descend, opts)`` trains on a batch of ``order(epoch)`` and
+    returns its loss and that loss's weight in the epoch's mean, making each
+    update through ``descend(stage, opt, loss_of, zero_grad=opt.zero_grad)``:
+    zero_grad, ``loss_of()``, backward, ``opt.step()``.  ``validate``, a
+    (stage, fn(epoch)) pair, runs without a graph before the first epoch
+    (epoch None) and after each.  A non-finite loss, gradient norm of opt's
+    parameters or validation loss raises TrainAbortError, whose diagnostics
+    hold the last finite update's gradient norm and its [epoch, batch], and
+    null for a non-finite number.
+    """
+    at = {"epoch": None, "batch": None}
+    last = {"grad_norm": None, "grad_step": None}
+
+    def abort(stage, what, value, loss):
+        norm = float(np.sqrt(sum(float(np.sum(p.data ** 2)) for p in module.parameters())))
+        diag = {"stage": stage, "last_loss": loss, **last, "param_norm": norm}
+        diag = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in diag.items()}
+        raise TrainAbortError(f"non-finite {what} in {stage}: {value}", at["epoch"],
+                              at["batch"], diag)
+
+    def descend(stage, opt, loss_of, zero_grad=None):
+        (zero_grad or opt.zero_grad)()
+        loss = loss_of()
+        lval = float(loss.data)
+        if not math.isfinite(lval):
+            abort(stage, "loss", lval, lval)
+        loss.backward()
+        norm = float(global_grad_norm(opt.params))
+        if not math.isfinite(norm):
+            abort(stage, "gradient norm", norm, lval)
+        opt.step()
+        last.update(grad_norm=norm, grad_step=[at["epoch"], at["batch"]])
+        return lval
+
+    def validated(epoch):
+        stage, val_loss = validate
+        at.update(epoch=epoch, batch=None)
+        with ad.no_grad():
+            vloss = val_loss(epoch)
+        if not math.isfinite(vloss):
+            abort(stage, "validation loss", vloss, vloss)
+        return vloss
+
+    params = module.parameters()
+    for p in params:
+        p.data = p.data.astype(TRAIN_DTYPE)
+    try:
+        opts = optimizers()
+        curves = {"train": [], "val": [],
+                  "init": None if validate is None else validated(None)}
+        for epoch in range(epochs):
+            total, count = 0.0, 0
+            for batch_no, ids in enumerate(_batched(order(epoch), batch)):
+                at.update(epoch=epoch, batch=batch_no)
+                lval, weight = step(ids, descend, opts)
+                total += lval * weight
+                count += weight
+            curves["train"].append(total / max(1, count))
+            if validate is not None:
+                curves["val"].append(validated(epoch))
+    finally:    # float64 again, gradients dropped, however the run ends
+        for p in params:
+            p.data = p.data.astype(np.float64)
+            p.grad = None
+    return curves
+
+
+def _shuffled(seed, key, ids):
+    """epoch -> ids permuted by the rng (seed, key + epoch)."""
+    return lambda epoch: np.random.default_rng((seed, key + epoch)).permutation(ids)
+
+
 def _loss_for(rec, staged, ids, mask, feats=None, shifts=None):
     out = rec.forward(staged, ids, mask, feats, shifts)
     return mse_loss(out, np.stack([staged[i]["target"] for i in ids]))
-
-
-def _abort(stage, epoch, batch_no, model, last_loss):
-    diag = {"stage": stage, "last_loss": last_loss,
-            "grad_norm": float(global_grad_norm(model.parameters())),
-            "param_norm": float(np.sqrt(sum(float(np.sum(p.data ** 2))
-                                            for p in model.parameters())))}
-    raise TrainAbortError(f"non-finite loss in {stage}", epoch, batch_no, diag)
 
 
 def _val_loss(rec, staged, val_ids, mask, batch, feats=None):
@@ -566,44 +612,30 @@ def _val_loss(rec, staged, val_ids, mask, batch, feats=None):
     return total / max(1, len(val_ids))
 
 
-def _fit(rec, staged, mask, lr, train_ids, val_ids, feats=None, shift_rng=None):
-    """One optimization run of ``rec.model`` in TRAIN_DTYPE; the model is
-    float64 again on return.  Returns (train_losses, val_losses, best_state,
-    best_epoch, best_val, init_val); best_state holds float32 copies."""
+def _fit(rec, dataset, lr, feats=None):
+    """One optimization run of ``rec.model``.  Returns its curves ("train",
+    "val", "init") and the best validation epoch's "val", "epoch" and
+    "state" (float32 copies)."""
     model, spec = rec.model, rec.spec
-    with _training_precision(model):
-        opt = ad.Adam(model.parameters(), lr=lr)
-        train_losses, val_losses = [], []
-        best_state, best_epoch, best_val = None, -1, math.inf
-        init_val = _val_loss(rec, staged, val_ids, mask, spec.batch, feats)
-        for epoch in range(spec.epochs):
-            order = np.random.default_rng((spec.seed, 1000 + epoch)).permutation(train_ids)
-            total, count = 0.0, 0
-            for batch_no, ids in enumerate(_batched(order, spec.batch)):
-                shifts = None
-                if shift_rng is not None and spec.t1_shift > 0:
-                    shifts = shift_rng.integers(-spec.t1_shift, spec.t1_shift + 1,
-                                                size=(len(ids), 2))
-                opt.zero_grad()
-                loss = _loss_for(rec, staged, ids, mask, feats, shifts)
-                lval = float(loss.data)
-                if not math.isfinite(lval):
-                    _abort("train", epoch, batch_no, model, lval)
-                loss.backward()
-                if not math.isfinite(float(global_grad_norm(model.parameters()))):
-                    _abort("train", epoch, batch_no, model, lval)
-                opt.step()
-                total += lval * len(ids)
-                count += len(ids)
-            train_losses.append(total / count)
-            vloss = _val_loss(rec, staged, val_ids, mask, spec.batch, feats)
-            if not math.isfinite(vloss):    # weights a finite step made non-finite
-                _abort("validation", epoch, None, model, vloss)
-            val_losses.append(vloss)
-            if vloss < best_val:
-                best_val, best_epoch = vloss, epoch
-                best_state = model.state_dict()
-    return train_losses, val_losses, best_state, best_epoch, best_val, init_val
+    staged, mask, val_ids = dataset.staged, dataset.mask, dataset.indices("val")
+    best = {"val": math.inf, "epoch": -1, "state": None}
+    shift_rng = np.random.default_rng((spec.seed, 555)) if spec.t1_shift else None
+
+    def step(ids, descend, opt):
+        shifts = None if shift_rng is None else shift_rng.integers(
+            -spec.t1_shift, spec.t1_shift + 1, size=(len(ids), 2))
+        return descend("train", opt, lambda: _loss_for(
+            rec, staged, ids, mask, feats, shifts)), len(ids)
+
+    def validate(epoch):
+        vloss = _val_loss(rec, staged, val_ids, mask, spec.batch, feats)
+        if epoch is not None and vloss < best["val"]:   # never a non-finite loss
+            best.update(val=vloss, epoch=epoch, state=model.state_dict())
+        return vloss
+
+    return _run_epochs(model, lambda: ad.Adam(model.parameters(), lr=lr), spec.epochs,
+                       spec.batch, _shuffled(spec.seed, 1000, dataset.indices("train")), step,
+                       ("validation", validate)), best
 
 
 def _train_loss_increased_early(train_losses):
@@ -611,18 +643,14 @@ def _train_loss_increased_early(train_losses):
     return any(b > a for a, b in zip(head, head[1:]))
 
 
-def _final_metrics(rec, staged, val_ids, mask):
-    report = MetricReport()
-    for i in val_ids:
-        mag = np.abs(rec.reconstruct(staged[i], mask))
-        report.add(compare(mag, staged[i]["target_mag"], staged[i]["id"],
-                           data_range=1.0))
-    return report
-
-
 def evaluate_model(rec, dataset, split="val"):
     """MetricReport of a Reconstructor over one dataset split."""
-    return _final_metrics(rec, dataset.staged, dataset.indices(split), dataset.mask)
+    report = MetricReport()
+    for i in dataset.indices(split):
+        s = dataset.staged[i]
+        mag = np.abs(rec.reconstruct(s, dataset.mask))
+        report.add(compare(mag, s["target_mag"], s["id"], data_range=1.0))
+    return report
 
 
 def zero_filled_report(dataset, split="val"):
@@ -642,38 +670,29 @@ def _fit_and_report(spec, dataset, t0, out_dir, feats=None, stage1=None,
     once.  Keeps the best-validation weights, scores them, writes the
     checkpoint when out_dir is given, and returns the TrainReport, whose
     ``extra`` holds init_val_loss and then ``extra``."""
-    staged, mask = dataset.staged, dataset.mask
-    train_ids, val_ids = dataset.indices("train"), dataset.indices("val")
-
     def run(lr):
         rec = Reconstructor(spec, build_model(spec, np.random.default_rng(spec.seed)),
                             stage1=stage1, golf=golf)
-        shift_rng = np.random.default_rng((spec.seed, 555)) if spec.t1_shift else None
-        return rec, _fit(rec, staged, mask, lr, train_ids, val_ids,
-                         feats=feats, shift_rng=shift_rng)
+        return (rec, *_fit(rec, dataset, lr, feats=feats))
 
     lr_used, retried = spec.lr, False
-    rec, result = run(lr_used)
-    if _train_loss_increased_early(result[0]):
+    rec, curves, best = run(lr_used)
+    if _train_loss_increased_early(curves["train"]):
         lr_used, retried = spec.lr / 2.0, True
-        rec, result = run(lr_used)
-    train_losses, val_losses, best_state, best_epoch, best_val, init_val = result
-    rec.model.load_state_dict(best_state)
-    metrics = _final_metrics(rec, staged, val_ids, mask)
-    ckpt = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        ckpt = save_checkpoint(out / "checkpoint.rtc", rec,
-                               meta={"best_epoch": best_epoch, "best_val": best_val})
+        rec, curves, best = run(lr_used)
+    rec.model.load_state_dict(best["state"])
+    metrics = evaluate_model(rec, dataset)
+    ckpt = None if out_dir is None else save_checkpoint(
+        Path(out_dir) / "checkpoint.rtc", rec,
+        meta={"best_epoch": best["epoch"], "best_val": best["val"]})
     return TrainReport(
         family=spec.family, assists=spec.assists, epochs_run=spec.epochs,
-        train_loss=train_losses, val_loss=val_losses, best_epoch=best_epoch,
-        best_val_loss=best_val, final_psnr=metrics.mean("psnr_db"),
+        train_loss=curves["train"], val_loss=curves["val"], best_epoch=best["epoch"],
+        best_val_loss=best["val"], final_psnr=metrics.mean("psnr_db"),
         final_ssim=metrics.mean("ssim"), final_vif=metrics.mean("vif"),
         wall_seconds=time.perf_counter() - t0, lr_used=lr_used,
         retried=retried, checkpoint=ckpt,
-        extra={"init_val_loss": init_val, **(extra or {})}, model=rec,
+        extra={"init_val_loss": curves["init"], **(extra or {})}, model=rec,
         stage1=stage1_report)
 
 
@@ -747,29 +766,16 @@ def _train_golf_module(module, spec, staged, train_ids, val_ids):
                 for i in train_ids + val_ids}
     xs = {i: staged[i]["target_mag"][None].astype(TRAIN_DTYPE)
           for i in train_ids + val_ids}
-    curves = {"train": [], "val": []}
-    with _training_precision(module):
-        opt = ad.Adam(module.parameters(), lr=spec.lr)
-        for epoch in range(spec.epochs):
-            order = np.random.default_rng((spec.seed, 2000 + epoch)).permutation(train_ids)
-            total, count = 0.0, 0
-            for batch_no, ids in enumerate(_batched(order, spec.batch)):
-                opt.zero_grad()
-                x = np.stack([xs[i] for i in ids])
-                y = np.stack([gol_maps[i] for i in ids])
-                loss = mse_loss(module.predict_gol(Tensor(x)), y)
-                lval = float(loss.data)
-                if not math.isfinite(lval):
-                    _abort("golf", epoch, batch_no, module, lval)
-                loss.backward()
-                opt.step()
-                total += lval * len(ids)
-                count += len(ids)
-            curves["train"].append(total / count)
-            xv = np.stack([xs[i] for i in val_ids])
-            yv = np.stack([gol_maps[i] for i in val_ids])
-            with ad.no_grad():
-                curves["val"].append(float(mse_loss(module.predict_gol(Tensor(xv)), yv).data))
+
+    def loss_of(ids):
+        x, y = (np.stack([m[i] for i in ids]) for m in (xs, gol_maps))
+        return mse_loss(module.predict_gol(Tensor(x)), y)
+
+    curves = _run_epochs(
+        module, lambda: ad.Adam(module.parameters(), lr=spec.lr), spec.epochs, spec.batch,
+        _shuffled(spec.seed, 2000, train_ids),
+        lambda ids, descend, opt: (descend("golf", opt, lambda: loss_of(ids)), len(ids)),
+        ("golf_validation", lambda epoch: float(loss_of(val_ids).data)))  # one stack
     module.trained = True
     return curves
 
@@ -802,18 +808,20 @@ def train_prn(block, base_rec, dataset, epochs=3, batch=4, seed=0,
               lr_critic=1e-4, lr_re=1e-3, critic_steps=5, gp_coeff=10.0,
               out_dir=None):
     """Adversarial training of a refiner on top of a frozen reconstruction
-    model.  The critic (Adam) maximizes score(target) - score(refined) with
-    a gradient penalty; the refiner (SGD) minimizes
-    w_adv * (-score(refined)) + w_dist * mse(refined, target).  The caller's
-    block trains in TRAIN_DTYPE and is float64 again on return or on
-    TrainAbortError.
+    model.  Each refiner batch first takes ``critic_steps`` critic updates
+    (Adam), maximizing score(target) - score(refined) with a gradient
+    penalty, then one refiner update (SGD), minimizing w_adv *
+    (-score(refined)) + w_dist * mse(refined, target).  Both run in the
+    epoch loop of every stage and abort as ``critic`` or ``generator``.
+    The report's train curve is the refiner loss and its val curve the
+    critic loss, each an unweighted mean over the epoch's updates.  The
+    caller's block trains in TRAIN_DTYPE and is float64 again on return or
+    on TrainAbortError.
     """
     if dataset.kind not in ("single", "paired"):
         raise ConfigError("refiner training needs single-coil data")
     t0 = time.perf_counter()
-    staged = dataset.staged
-    train_ids, val_ids = dataset.indices("train"), dataset.indices("val")
-    mask = dataset.mask
+    staged, mask, train_ids = dataset.staged, dataset.mask, dataset.indices("train")
 
     # the frozen base model's float64 reconstructions, and every other
     # array the loop stacks, cast to the training precision once
@@ -822,77 +830,68 @@ def train_prn(block, base_rec, dataset, epochs=3, batch=4, seed=0,
     targets = {i: staged[i]["target"].astype(TRAIN_DTYPE) for i in train_ids}
     us_ks = {i: staged[i]["us_k"].astype(_complex_of(TRAIN_DTYPE)) for i in train_ids}
     eps_rng = np.random.default_rng((seed, 77))
+    critic_sums, wasserstein, critic_ids = [], [], []
 
-    gen_curve, critic_curve, wasserstein = [], [], []
-    with _training_precision(block):
-        re_opt = ad.Sgd(block.re_parameters(), lr=lr_re)
-        critic_params = [p for n, p in block.named_parameters() if n.startswith("critic.")]
-        critic_opt = ad.Adam(critic_params, lr=lr_critic, beta1=0.5, beta2=0.9)
-        for epoch in range(epochs):
-            g_order = np.random.default_rng((seed, 3000 + epoch)).permutation(train_ids)
-            c_order = list(np.random.default_rng((seed, 4000 + epoch)).permutation(
-                np.repeat(train_ids, critic_steps)))
-            g_total = c_total = 0.0
-            g_count = c_count = 0
-            c_pos = 0
-            for batch_no, ids in enumerate(_batched(g_order, batch)):
-                for _ in range(critic_steps):
-                    c_ids = c_order[c_pos:c_pos + len(ids)] or list(ids)
-                    c_pos += len(c_ids)
-                    target = np.stack([targets[i] for i in c_ids])
-                    with_in = np.stack([recon[i] for i in c_ids])
-                    us_k = np.stack([us_ks[i] for i in c_ids])
-                    with ad.no_grad():
-                        fake = block.refine(Tensor(with_in), us_k, mask).data
-                    eps = eps_rng.uniform(size=(len(c_ids), 1, 1, 1)).astype(TRAIN_DTYPE)
-                    inter = eps * target + (1.0 - eps) * fake
-                    block.zero_grad()
-                    s_fake = ad.mean_all(block.critic(Tensor(fake)))
-                    s_real = ad.mean_all(block.critic(Tensor(target)))
-                    gp = gradient_penalty(block.critic, inter)
-                    if not math.isfinite(float(gp.data)):
-                        _abort("critic", epoch, batch_no, block, float(gp.data))
-                    c_loss = ad.add(ad.sub(s_fake, s_real), ad.mul(gp, gp_coeff))
-                    cval = float(c_loss.data)
-                    if not math.isfinite(cval):
-                        _abort("critic", epoch, batch_no, block, cval)
-                    c_loss.backward()
-                    critic_opt.step()
-                    w_est = float(s_real.data) - float(s_fake.data)
-                    if not math.isfinite(w_est):
-                        _abort("critic", epoch, batch_no, block, w_est)
-                    wasserstein.append(w_est)
-                    c_total += cval
-                    c_count += 1
-                block.zero_grad()
-                with_in = np.stack([recon[i] for i in ids])
-                us_k = np.stack([us_ks[i] for i in ids])
-                target = np.stack([targets[i] for i in ids])
-                refined = block.refine(Tensor(with_in), us_k, mask)
-                adv = ad.neg(ad.mean_all(block.critic(refined)))
-                dist = mse_loss(refined, target)
-                g_loss = ad.add(ad.mul(adv, block.w_adv), ad.mul(dist, block.w_dist))
-                gval = float(g_loss.data)
-                if not math.isfinite(gval):
-                    _abort("generator", epoch, batch_no, block, gval)
-                g_loss.backward()
-                re_opt.step()
-                g_total += gval
-                g_count += 1
-            gen_curve.append(g_total / max(1, g_count))
-            critic_curve.append(c_total / max(1, c_count))
+    def stacks(ids):
+        return (np.stack([m[i] for i in ids]) for m in (targets, recon, us_ks))
+
+    refiner_order = _shuffled(seed, 3000, train_ids)
+    critic_order = _shuffled(seed, 4000, np.repeat(train_ids, critic_steps))
+
+    def order(epoch):
+        """The epoch's refiner order; also deals its critic order."""
+        critic_ids[:] = critic_order(epoch)
+        critic_sums.append([0.0, 0])
+        return refiner_order(epoch)
+
+    def critic_update(c_ids, descend, critic_opt):
+        target, with_in, us_k = stacks(c_ids)
+        with ad.no_grad():
+            fake = block.refine(Tensor(with_in), us_k, mask).data
+        eps = eps_rng.uniform(size=(len(c_ids), 1, 1, 1)).astype(TRAIN_DTYPE)
+        inter = eps * target + (1.0 - eps) * fake
+
+        def critic_loss():
+            s_fake = ad.mean_all(block.critic(Tensor(fake)))
+            s_real = ad.mean_all(block.critic(Tensor(target)))
+            wasserstein.append(float(s_real.data) - float(s_fake.data))
+            gp = gradient_penalty(block.critic, inter)
+            return ad.add(ad.sub(s_fake, s_real), ad.mul(gp, gp_coeff))
+
+        return descend("critic", critic_opt, critic_loss, block.zero_grad)
+
+    def step(ids, descend, opts):
+        re_opt, critic_opt = opts
+        for _ in range(critic_steps):
+            c_ids = critic_ids[:len(ids)] or list(ids)
+            del critic_ids[:len(ids)]
+            critic_sums[-1][0] += critic_update(c_ids, descend, critic_opt)
+            critic_sums[-1][1] += 1
+
+        def generator_loss():
+            target, with_in, us_k = stacks(ids)
+            refined = block.refine(Tensor(with_in), us_k, mask)
+            adv = ad.neg(ad.mean_all(block.critic(refined)))
+            dist = mse_loss(refined, target)
+            return ad.add(ad.mul(adv, block.w_adv), ad.mul(dist, block.w_dist))
+
+        return descend("generator", re_opt, generator_loss, block.zero_grad), 1
+
+    def optimizers():    # the critic's Adam last, right before the first update
+        critic = [p for n, p in block.named_parameters() if n.startswith("critic.")]
+        return (ad.Sgd(block.re_parameters(), lr=lr_re),
+                ad.Adam(critic, lr=lr_critic, beta1=0.5, beta2=0.9))
+
+    gen_curve = _run_epochs(block, optimizers, epochs, batch, order, step)["train"]
+    critic_curve = [total / max(1, count) for total, count in critic_sums]
 
     refined_rec = Reconstructor(base_rec.spec, base_rec.model,
                                 stage1=base_rec.stage1, golf=base_rec.golf,
                                 prn=block)
-    base_metrics = _final_metrics(base_rec, staged, val_ids, mask)
-    refined_metrics = _final_metrics(refined_rec, staged, val_ids, mask)
-    ckpt = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        ckpt = save_checkpoint(out / "checkpoint.rtc", refined_rec,
-                               meta={"prn_epochs": epochs})
+    base_metrics = evaluate_model(base_rec, dataset)
+    refined_metrics = evaluate_model(refined_rec, dataset)
+    ckpt = None if out_dir is None else save_checkpoint(
+        Path(out_dir) / "checkpoint.rtc", refined_rec, meta={"prn_epochs": epochs})
     return TrainReport(
         family=base_rec.spec.family, assists=base_rec.spec.assists,
         epochs_run=epochs, train_loss=gen_curve, val_loss=critic_curve,

@@ -104,13 +104,13 @@ def cmd_train(args):
     except TrainAbortError as exc:
         (out / "diagnostics.json").write_text(json.dumps(
             {"error": str(exc), "epoch": exc.epoch, "batch": exc.batch,
-             "diagnostics": exc.diagnostics}, indent=1))
+             "diagnostics": exc.diagnostics}, indent=1, allow_nan=False))
         print(f"aborted; diagnostics written to {out / 'diagnostics.json'}",
               file=sys.stderr)
         raise
     d = report.to_dict()
     cas.validate_train_report(d)
-    (out / "report.json").write_text(json.dumps(d, indent=1))
+    (out / "report.json").write_text(json.dumps(d, indent=1, allow_nan=False))
     print(out / "report.json")
     return 0
 

@@ -9,6 +9,7 @@ modules are loaded as they are, from their own directory.
 
 import importlib
 import inspect
+import math
 import sys
 import time
 from pathlib import Path
@@ -83,6 +84,31 @@ def test_tracing_and_clock_fit_train_and_reconstruct(bench_modules, tmp_path):
     after = _bindings(modules)
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())
+
+
+def test_clock_counts_one_prn_iteration_per_refiner_batch(bench_modules, tmp_path):
+    """A refiner iteration runs from the critic's Adam, or the last
+    Sgd.step, to the next Sgd.step; the benchmark's prn timing needs one per
+    refiner batch, with none left open."""
+    instrument, spans = bench_modules
+    make_dataset("single", 7, 32, 4, "cartesian", seed=1, out_dir=tmp_path / "ds")
+    ds = load_dataset(tmp_path / "ds")
+    spec = cas.CascadeSpec(n_b=1, mode="ki_then_ii", size=32, ki_hidden=4,
+                           ii_base=4, ii_depth=2, fu_hidden=8)
+    base = cas.Reconstructor(spec, cas.build_model(spec))
+    block = dualrec.networks.PrnBlock(hidden=4, critic_base=4, rng=np.random.default_rng(0))
+    epochs, batch = 2, 2
+    n_iter = epochs * math.ceil(len(ds.indices("train")) / batch)
+    clock = instrument.IterationClock("prn", spans.Tracer())
+    clock.reset(expect=n_iter)
+    patcher = instrument.Patcher()
+    try:
+        instrument.install_clock(patcher, dualrec.autodiff, clock, time.perf_counter)
+        cas.train_prn(block, base, ds, epochs=epochs, batch=batch, critic_steps=2)
+    finally:
+        patcher.undo()
+    assert len(ds.indices("train")) % batch     # a short last batch
+    assert len(clock.durations) == n_iter and clock.remaining == 0
 
 
 def test_traced_conv_spans_read_the_whole_channel_stack(bench_modules):

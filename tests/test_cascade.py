@@ -1,6 +1,7 @@
 """Cascade models, training loops and checkpoints."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -377,12 +378,25 @@ class TestTrain:
         with pytest.raises(ConfigError):
             cas.validate_train_report(bad)
 
+    @pytest.mark.parametrize("where", ["val_loss", "extra", "extra.base"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_schema_rejects_non_finite_numbers_anywhere(self, trained_n1, where, value):
+        good = trained_n1.to_dict()
+        cas.validate_train_report(dict(good, extra={"base": good}))
+        bad = {"val_loss": dict(good, val_loss=good["val_loss"][:-1] + [value]),
+               "extra": dict(good, extra={"golf_val_loss": [value]}),
+               "extra.base": dict(good, extra={"base": dict(good, final_vif=value)})}[where]
+        with pytest.raises(ConfigError, match="strict JSON"):
+            cas.validate_train_report(bad)
+
     def test_divergence_aborts_with_diagnostics(self, ds_single):
         with pytest.raises(TrainAbortError) as err:
             cas.train(small_spec(lr=1e8, epochs=8), ds_single)
         e = err.value
         assert e.epoch is not None and e.batch is not None
         assert "grad_norm" in e.diagnostics
+        # strict JSON: non-finite numbers are null
+        json.dumps(e.diagnostics, allow_nan=False)
 
     def test_family_dataset_mismatch(self, ds_single, ds_multi):
         with pytest.raises(ConfigError):
@@ -644,6 +658,53 @@ class TestDriver:
         box.write(tmp_path / "huge.rtc")
         with pytest.raises(ConfigError, match="cannot build"):
             cas.load_checkpoint(tmp_path / "huge.rtc")
+
+
+class TestAbortChecks:
+    """Every stage aborts alike on a non-finite loss, gradient norm or
+    validation loss, naming itself."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_guidance_module_aborts(self, ds_single, tmp_path):
+        base = cas.train(cas.CascadeSpec.from_dict(TINY_SPEC), ds_single, out_dir=tmp_path)
+        spec = cas.CascadeSpec.from_dict(dict(TINY_SPEC, assists="golf", batch=16, lr=1e4))
+        with pytest.raises(TrainAbortError) as err:
+            cas.train(spec, ds_single, stage1_checkpoint=base.checkpoint)
+        assert err.value.diagnostics["stage"] == "golf_validation"
+        assert (err.value.epoch, err.value.batch) == (0, None)
+
+    # global_grad_norm is inf from its n-th call on: the first update of the
+    # cascade, of the guidance module and of the critic; the refiner's
+    # update follows one critic update
+    @pytest.mark.parametrize("stage, n", [("train", 1), ("golf", 1), ("critic", 1),
+                                          ("generator", 2)])
+    def test_infinite_gradient_norm_aborts_its_stage(self, ds_single, trained_n1,
+                                                     monkeypatch, stage, n):
+        from dualrec.networks import PrnBlock
+        calls, norm = [], cas.global_grad_norm
+
+        def norm_inf_from_nth_call(params):
+            calls.append(params)
+            return math.inf if len(calls) >= n else norm(params)
+
+        monkeypatch.setattr(cas, "global_grad_norm", norm_inf_from_nth_call)
+        with pytest.raises(TrainAbortError, match=f"gradient norm in {stage}") as err:
+            if stage == "train":
+                cas.train(small_spec(epochs=1), ds_single)
+            elif stage == "golf":
+                cas.train(small_spec(assists="golf", epochs=1), ds_single,
+                          stage1_checkpoint=trained_n1.checkpoint)
+            else:
+                block = PrnBlock(hidden=4, critic_base=4, rng=np.random.default_rng(2))
+                cas.train_prn(block, trained_n1.model, ds_single, epochs=1,
+                              critic_steps=1)
+        diag = err.value.diagnostics
+        assert diag["stage"] == stage and math.isfinite(diag["last_loss"])
+        assert (err.value.epoch, err.value.batch) == (0, 0)
+        if n == 1:      # no update finished
+            assert diag["grad_norm"] is None and diag["grad_step"] is None
+        else:           # the critic's update of the same batch
+            assert diag["grad_norm"] > 0 and diag["grad_step"] == [0, 0]
 
 
 @pytest.fixture

@@ -22,6 +22,13 @@ def spec_dict(**kw):
     return cas.CascadeSpec(**base).to_dict()
 
 
+def strict_json(path):
+    """A JSON file parsed strictly: a NaN or Infinity in it fails the test."""
+    def refuse(name):
+        raise AssertionError(f"{path} holds the non-finite number {name}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 def write_config(path, spec, dataset, out, **extra):
     cfg = {"schema": 1, "spec": spec, "dataset": str(dataset),
            "out": str(out)}
@@ -123,7 +130,7 @@ class TestMakeMask:
 
 class TestTrainCmd:
     def test_outputs_and_schema(self, run_dir):
-        report = json.loads((run_dir / "report.json").read_text())
+        report = strict_json(run_dir / "report.json")
         cas.validate_train_report(report)
         resolved = json.loads((run_dir / "config.json").read_text())
         assert resolved["schema"] == 1
@@ -293,8 +300,27 @@ class TestTrainCmd:
                            spec_dict(lr=1e8, epochs=8), ds_dir,
                            tmp_path / "out")
         assert main(["train", "--config", str(cfg)]) == 3
-        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        diag = strict_json(tmp_path / "out" / "diagnostics.json")
         assert "epoch" in diag and "grad_norm" in diag["diagnostics"]
+        # the loss was non-finite before backward: the norm and step reported
+        # are the last finite update's, not the just-zeroed gradients'
+        d = diag["diagnostics"]
+        assert d["last_loss"] is None and d["grad_norm"] > 0
+        assert d["grad_step"] < [diag["epoch"], diag["batch"]]
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_guidance_module_exits_3(self, ds_dir, tmp_path):
+        base = tmp_path / "base"
+        cfg = write_config(tmp_path / "base.json", TINY_SPEC, ds_dir, base)
+        assert main(["train", "--config", str(cfg)]) == 0
+        cfg = write_config(tmp_path / "cfg.json",
+                           dict(TINY_SPEC, assists="golf", batch=16, lr=1e4), ds_dir,
+                           tmp_path / "out", stage1_checkpoint=str(base / "checkpoint.rtc"))
+        assert main(["train", "--config", str(cfg)]) == 3
+        diag = strict_json(tmp_path / "out" / "diagnostics.json")
+        assert diag["diagnostics"]["stage"] == "golf_validation"
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_refiner_config_attaches_refiner(self, ds_dir, tmp_path):
         spec = spec_dict(epochs=1,
@@ -305,7 +331,7 @@ class TestTrainCmd:
         assert main(["train", "--config", str(cfg)]) == 0
         rec = cas.load_checkpoint(tmp_path / "out" / "checkpoint.rtc")
         assert rec.prn is not None
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        report = strict_json(tmp_path / "out" / "report.json")
         assert np.isfinite(report["extra"]["wasserstein"]).all()
         cas.validate_train_report(report["extra"]["base"])
 
@@ -530,4 +556,8 @@ class TestTrainContract:
     def test_exit_code_is_0_2_or_3(self, tiny_dirs, tmp_path_factory, d):
         run = tmp_path_factory.mktemp("contract")
         cfg = write_config(run / "cfg.json", d, tiny_dirs[dataset_kind(d)], run / "out")
-        assert main(["train", "--config", str(cfg)]) in (0, 2, 3)
+        code = main(["train", "--config", str(cfg)])
+        assert code in (0, 2, 3)
+        # a run that trains or aborts writes strict JSON
+        for name in {0: ["report.json"], 3: ["diagnostics.json"]}.get(code, []):
+            strict_json(run / "out" / name)
