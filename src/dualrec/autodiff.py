@@ -24,11 +24,12 @@ All ops work in float64 or float32: an op on float32 inputs returns float32
 and routes float32 gradients (tests/test_autodiff.py checks every op).  A
 constant that enters a graph must carry its tensor's dtype, or be a Python
 scalar, because under NumPy 2 a float64 array, even a 0-d one, promotes the
-whole graph to float64.  Modules default to float64 parameters and
+whole graph to float64.  Modules always build float64 parameters and
 ``phantoms.Dataset.staged`` holds data in float64, so inference, checkpoints,
 metrics and the gradient checks run in float64.  Training runs in float32:
-the training loops of ``cascade`` cast the parameters and every batch to
-float32 for the duration of the loop and back to float64 afterwards.
+the one epoch loop of ``cascade`` casts the module with ``Module.astype``,
+and every batch, to float32 for the duration of the loop and back to
+float64 afterwards.
 
 A graph keeps each op's parents plus what its backward closure holds.  A
 stride-1 ``conv2d`` (every convolution of the reconstruction networks)
@@ -622,26 +623,16 @@ def _conv_s1_forward(xs, w, padding):
     return y.reshape(bsz, f, ho, wp)[..., :wp - kw + 1]
 
 
-def _conv_s1_dx(gf, w, xf, wp):
-    """One sample's dx, laid out like its padded input xf, from its flat
-    padded gradient gf [F, Ho*Wp]."""
-    kh, kw = w.shape[2:]
-    n = gf.shape[1]
-    dxf = np.zeros_like(xf)
-    tmp = np.empty((xf.shape[0], n), dtype=gf.dtype)
-    for u, v in np.ndindex(kh, kw):
-        s = u * wp + v
-        dxf[:, s:s + n] += np.matmul(w[:, :, u, v].T, gf, out=tmp)
-    return dxf
-
-
 def _conv_s1_backward(g, xs, w, padding, y, slope, need_dx, need_db):
     """(dx, dw, db) of the stride-1 conv2d, from the channel-stacked inputs
     xs rather than a patch matrix, one sample at a time.  With a slope, each
     sample's gradient is first multiplied by the activation derivative read
     from the output y, and if need_db its sum over the image is added to the
     bias gradient db.  dx, over the whole stack, is None unless need_dx; db
-    is None unless slope and need_db."""
+    is None unless slope and need_db.  Each sample's dx is summed in one
+    padded buffer dxf, laid out like xf and zeroed per sample.  It and its
+    GEMM scratch are made once per call, after the first sample's masked
+    gradient is freed.  With a batch of one, dx is a view of dxf."""
     bsz, c, h, wd, dtype = _stack_dims(xs)
     f, _, kh, kw = w.shape
     hp, wp = h + 2 * padding, wd + 2 * padding
@@ -652,6 +643,7 @@ def _conv_s1_backward(g, xs, w, padding, y, slope, need_dx, need_db):
     dw_taps = np.empty((kh, kw, bsz, f, c), dtype=np.result_type(g, dtype))
     db = np.zeros(f, dtype=g.dtype) if slope is not None and need_db else None
     dx = np.empty((bsz, c, h, wd), dtype=dtype) if need_dx and bsz > 1 else None
+    dxf = tmp = None
     for i in range(bsz):
         _pad_sample(xf, xs, i, hp, wp, padding)
         gi = g[i]
@@ -660,12 +652,18 @@ def _conv_s1_backward(g, xs, w, padding, y, slope, need_dx, need_db):
             if db is not None:
                 db += gi.sum(axis=(1, 2))
         _window(gf, ho, wp, 0, ho, wo)[...] = gi
-        del gi      # a masked copy is freed before dx's buffers are made
+        del gi      # the first masked copy is freed before dxf is made
         for u, v in np.ndindex(kh, kw):
             s = u * wp + v
             np.matmul(gf, xf[:, s:s + n].T, out=dw_taps[u, v, i])
         if need_dx:
-            dxi = _window(_conv_s1_dx(gf, w, xf, wp), hp, wp, padding, h, wd)
+            if dxf is None:
+                dxf, tmp = np.empty_like(xf), np.empty((c, n), dtype=g.dtype)
+            dxf[...] = 0
+            for u, v in np.ndindex(kh, kw):
+                s = u * wp + v
+                dxf[:, s:s + n] += np.matmul(w[:, :, u, v].T, gf, out=tmp)
+            dxi = _window(dxf, hp, wp, padding, h, wd)
             if bsz == 1:    # a view of the padded buffer, as no copy is needed
                 dx = dxi[None]
             else:

@@ -18,17 +18,19 @@ the guidance features all go through it.
 Training is plain MSE + Adam, deterministic given the spec seed.  Every
 stage (each cascade fit, the guidance module, the refiner) trains in one
 epoch loop, ``_run_epochs``: forward pass, backward pass and optimizer step
-run in TRAIN_DTYPE (float32), the parameters cast in place for the run and
-back to float64 however it ends, and a non-finite loss, gradient norm or
-validation loss aborts any stage alike.  ``forward`` casts each batch to
-the parameters' precision.  Staged data, inference, checkpoints and metrics
-are float64.  ``train`` runs every stage a spec asks for.  Assisted
-variants: ``golf`` trains in two stages (base model, then a guidance-feature
-module, then a fresh injected model fed frozen features, computed by the
-same ``Reconstructor._features`` that inference calls); ``t1`` stacks a
-registered companion contrast into the fusion input, with random circular
-shifts of up to ``t1_shift`` pixels for robustness; ``t1_golf`` combines
-both.  A ``prn`` spec then trains a refiner adversarially on the cascade.
+run in TRAIN_DTYPE (float32), the module cast in place by ``Module.astype``
+for the run and back to float64 however it ends, and a non-finite loss,
+gradient norm or validation loss aborts any stage alike.  Modules always
+build in float64; this loop is the one place that changes their precision.
+``forward`` casts each batch to the parameters' precision.  Staged data,
+inference, checkpoints and metrics are float64.  ``train`` runs every stage
+a spec asks for.  Assisted variants: ``golf`` trains in two stages (base
+model, then a guidance-feature module, then a fresh injected model fed
+frozen features, computed by the same ``Reconstructor._features`` that
+inference calls); ``t1`` stacks a registered companion contrast into the
+fusion input, with random circular shifts of up to ``t1_shift`` pixels for
+robustness; ``t1_golf`` combines both.  A ``prn`` spec then trains a refiner
+adversarially on the cascade.
 
 Checkpoints are RTC containers holding every parameter plus a JSON meta
 entry, bundling whatever pieces inference needs (stage-1 model, guidance
@@ -570,9 +572,7 @@ def _run_epochs(module, optimizers, epochs, batch, order, step, validate=None):
             abort(stage, "validation loss", vloss, vloss)
         return vloss
 
-    params = module.parameters()
-    for p in params:
-        p.data = p.data.astype(TRAIN_DTYPE)
+    module.astype(TRAIN_DTYPE)
     try:
         opts = optimizers()
         curves = {"train": [], "val": [],
@@ -588,9 +588,7 @@ def _run_epochs(module, optimizers, epochs, batch, order, step, validate=None):
             if validate is not None:
                 curves["val"].append(validated(epoch))
     finally:    # float64 again, gradients dropped, however the run ends
-        for p in params:
-            p.data = p.data.astype(np.float64)
-            p.grad = None
+        module.astype(np.float64)
     return curves
 
 
@@ -816,8 +814,14 @@ def train_prn(block, base_rec, dataset, epochs=3, batch=4, seed=0,
     The report's train curve is the refiner loss and its val curve the
     critic loss, each an unweighted mean over the epoch's updates.  The
     caller's block trains in TRAIN_DTYPE and is float64 again on return or
-    on TrainAbortError.
+    on TrainAbortError.  The keyword arguments are checked like a spec's
+    ``batch``, ``seed`` and ``prn`` fields before anything runs.
     """
+    _check_type("batch", batch, int)
+    _check_type("seed", seed, int)
+    for name, v in (("epochs", epochs), ("lr_critic", lr_critic), ("lr_re", lr_re),
+                    ("critic_steps", critic_steps), ("gp_coeff", gp_coeff)):
+        _check_type(f"prn.{name}", v, _PRN_TYPES[name])
     if dataset.kind not in ("single", "paired"):
         raise ConfigError("refiner training needs single-coil data")
     t0 = time.perf_counter()

@@ -72,14 +72,14 @@ class SensitivitySet:
 class FidelityWeights:
     """lam plus trainable alpha/beta kept as log-parameters so they stay positive."""
 
-    def __init__(self, lam=math.inf, alpha=1.0, beta=1.0, dtype=np.float64):
+    def __init__(self, lam=math.inf, alpha=1.0, beta=1.0):
         if not (lam > 0):
             raise ParameterError(f"lambda must be positive or +inf, got {lam}")
         if not (0 < alpha < math.inf and 0 < beta < math.inf):
             raise ParameterError(f"alpha and beta must be positive and finite, got {alpha}, {beta}")
         self.lam = lam
-        self.log_alpha = Parameter(np.asarray(np.log(alpha), dtype=dtype))
-        self.log_beta = Parameter(np.asarray(np.log(beta), dtype=dtype))
+        self.log_alpha = Parameter(np.asarray(np.log(alpha), dtype=np.float64))
+        self.log_beta = Parameter(np.asarray(np.log(beta), dtype=np.float64))
 
     def alpha_t(self):
         return ad.exp(self.log_alpha)

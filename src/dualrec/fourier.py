@@ -204,9 +204,9 @@ def ifft2_t(x):
 
 # -- trainable decomposed transform layer -------------------------------
 
-def _axis_matrices(n, dtype):
+def _axis_matrices(n):
     """Free real matrices initialized to the centered orthonormal inverse DFT."""
-    re, im = _dft_parts(n, +1, dtype)
+    re, im = _dft_parts(n, +1, np.float64)
     return re, -im, im, re
 
 
@@ -217,33 +217,31 @@ class DTLayer(Module):
     The axis stage stores four real matrices per axis (real/imag mixing is
     unconstrained) initialized so that it reproduces the centered orthonormal
     inverse 2-d DFT exactly.  The refinement head is conv(2->hidden)+relu then
-    a zero-initialized conv(hidden->out) added to the skip, so the whole layer
+    a zero-initialized conv(hidden->2) added to the skip, so the whole layer
     equals the inverse FFT at init.  Optional guidance features enter through
     a separate zero-initialized bias-free convolution ahead of the skip.
     """
 
-    def __init__(self, size, out_channels=2, hidden=16, golf_channels=0,
-                 rng=None, dtype=np.float64):
+    def __init__(self, size, hidden=16, golf_channels=0, rng=None):
         super().__init__()
         if isinstance(size, int):
             size = (size, size)
         self.size = tuple(size)
-        self.out_channels = out_channels
         h, w = self.size
-        rr, ri, ir, ii = _axis_matrices(h, dtype)
+        rr, ri, ir, ii = _axis_matrices(h)
         self.m1_rr, self.m1_ri = Parameter(rr), Parameter(ri)
         self.m1_ir, self.m1_ii = Parameter(ir), Parameter(ii)
-        rr, ri, ir, ii = _axis_matrices(w, dtype)
+        rr, ri, ir, ii = _axis_matrices(w)
         self.m2_rr, self.m2_ri = Parameter(rr), Parameter(ri)
         self.m2_ir, self.m2_ii = Parameter(ir), Parameter(ii)
         if rng is None:
             rng = np.random.default_rng(0)
-        self.refine1 = Conv2d(2, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
-        self.refine2 = Conv2d(hidden, out_channels, 3, padding=1, zero_init=True, dtype=dtype)
+        self.refine1 = Conv2d(2, hidden, 3, padding=1, rng=rng, slope=0)
+        self.refine2 = Conv2d(hidden, 2, 3, padding=1, zero_init=True)
         self.inject = None
         if golf_channels:
-            self.inject = Conv2d(golf_channels, out_channels, 3, padding=1,
-                                 zero_init=True, bias=False, dtype=dtype)
+            self.inject = Conv2d(golf_channels, 2, 3, padding=1,
+                                 zero_init=True, bias=False)
 
     def axis_transform(self, x):
         """[B,2,H,W] k-space channels -> [B,2,H,W] image channels."""
@@ -268,5 +266,4 @@ class DTLayer(Module):
             if self.inject is None:
                 raise ParameterError("layer was built without guidance channels")
             out = ad.add(out, self.inject(golf))
-        skip = d if self.out_channels == 2 else d[:, 0:1]
-        return ad.add(out, skip)
+        return ad.add(out, d)

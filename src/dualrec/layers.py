@@ -4,6 +4,8 @@ Modules register Parameters and sub-Modules through attribute assignment and
 expose named_parameters / state_dict for checkpointing.  Weight init is
 Kaiming-uniform with an explicit numpy Generator so every network is
 reproducible from a seed; fan-in counts input channels times kernel area.
+Every module builds its parameters in float64; ``Module.astype`` casts them
+in place, which is how ``cascade`` trains in float32.
 """
 
 import numpy as np
@@ -13,10 +15,10 @@ from .autodiff import Parameter, Tensor
 from .errors import DimensionError, StateError
 
 
-def kaiming_uniform(rng, shape, fan_in, dtype=np.float64):
-    """U(-b, b) with b = sqrt(6 / fan_in), the ReLU-gain variant."""
+def kaiming_uniform(rng, shape, fan_in):
+    """U(-b, b) with b = sqrt(6 / fan_in), the ReLU-gain variant, in float64."""
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class Module:
@@ -56,19 +58,26 @@ class Module:
     def state_dict(self):
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
-    def load_state_dict(self, state, strict=True):
+    def load_state_dict(self, state):
+        """Copy ``state`` into the parameters, which it must name exactly."""
         own = dict(self.named_parameters())
-        if strict:
-            missing = sorted(set(own) - set(state))
-            extra = sorted(set(state) - set(own))
-            if missing or extra:
-                raise StateError(f"state dict mismatch: missing={missing} extra={extra}")
+        missing = sorted(set(own) - set(state))
+        extra = sorted(set(state) - set(own))
+        if missing or extra:
+            raise StateError(f"state dict mismatch: missing={missing} extra={extra}")
         for name, arr in state.items():
-            if name in own:
-                if own[name].shape != arr.shape:
-                    raise DimensionError(
-                        f"param {name}: checkpoint shape {arr.shape} != model {own[name].shape}")
-                own[name].data = np.array(arr, dtype=own[name].dtype)
+            if own[name].shape != arr.shape:
+                raise DimensionError(
+                    f"param {name}: checkpoint shape {arr.shape} != model {own[name].shape}")
+            own[name].data = np.array(arr, dtype=own[name].dtype)
+
+    def astype(self, dtype):
+        """Cast every parameter to ``dtype`` in place, dropping its
+        gradient; returns the module."""
+        for p in self.parameters():
+            p.data = p.data.astype(dtype)
+            p.grad = None
+        return self
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -80,21 +89,20 @@ class Conv2d(Module):
     The activation holds no parameter, so state dicts do not see it."""
 
     def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0,
-                 bias=True, zero_init=False, rng=None, dtype=np.float64,
-                 slope=None):
+                 bias=True, zero_init=False, rng=None, slope=None):
         super().__init__()
         self.stride = stride
         self.padding = padding
         self.slope = slope
         shape = (out_ch, in_ch, kernel, kernel)
         if zero_init:
-            w = np.zeros(shape, dtype=dtype)
+            w = np.zeros(shape)
         else:
             if rng is None:
                 raise StateError("Conv2d needs an rng unless zero_init")
-            w = kaiming_uniform(rng, shape, in_ch * kernel * kernel, dtype)
+            w = kaiming_uniform(rng, shape, in_ch * kernel * kernel)
         self.w = Parameter(w)
-        self.b = Parameter(np.zeros(out_ch, dtype=dtype)) if bias else None
+        self.b = Parameter(np.zeros(out_ch)) if bias else None
 
     def forward(self, x):
         return ad.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding,
@@ -104,10 +112,10 @@ class Conv2d(Module):
 class UpConv2x2(Module):
     """Learnable 2x upsampling via stride-2 transposed convolution."""
 
-    def __init__(self, in_ch, out_ch, rng, dtype=np.float64):
+    def __init__(self, in_ch, out_ch, rng):
         super().__init__()
-        self.w = Parameter(kaiming_uniform(rng, (out_ch, in_ch, 2, 2), in_ch * 4, dtype))
-        self.b = Parameter(np.zeros(out_ch, dtype=dtype))
+        self.w = Parameter(kaiming_uniform(rng, (out_ch, in_ch, 2, 2), in_ch * 4))
+        self.b = Parameter(np.zeros(out_ch))
 
     def forward(self, x):
         return ad.upconv2x2(x, self.w, self.b)

@@ -70,10 +70,10 @@ def gol(image, eps=1e-6):
 class DoubleConv(Module):
     """Two 3x3 convolutions, each with a fused ReLU."""
 
-    def __init__(self, in_ch, out_ch, rng, dtype=np.float64):
+    def __init__(self, in_ch, out_ch, rng):
         super().__init__()
-        self.c1 = Conv2d(in_ch, out_ch, 3, padding=1, rng=rng, dtype=dtype, slope=0)
-        self.c2 = Conv2d(out_ch, out_ch, 3, padding=1, rng=rng, dtype=dtype, slope=0)
+        self.c1 = Conv2d(in_ch, out_ch, 3, padding=1, rng=rng, slope=0)
+        self.c2 = Conv2d(out_ch, out_ch, 3, padding=1, rng=rng, slope=0)
 
     def forward(self, x):
         return self.c2(self.c1(x))
@@ -90,7 +90,7 @@ class UNet(Module):
     """
 
     def __init__(self, in_ch, out_ch, base=32, depth=3, residual=False,
-                 golf_channels=0, rng=None, dtype=np.float64):
+                 golf_channels=0, rng=None):
         super().__init__()
         if depth < 1:
             raise ParameterError("unet depth must be >= 1")
@@ -104,27 +104,27 @@ class UNet(Module):
         ch = in_ch
         for i in range(depth):
             width = base * (2 ** i)
-            block = DoubleConv(ch, width, rng, dtype)
+            block = DoubleConv(ch, width, rng)
             setattr(self, f"enc{i}", block)
             self._enc.append(block)
             ch = width
-        self.mid = DoubleConv(ch, 2 * ch, rng, dtype)
+        self.mid = DoubleConv(ch, 2 * ch, rng)
         ch *= 2
         for i in range(depth - 1, -1, -1):
             width = base * (2 ** i)
-            up = UpConv2x2(ch, width, rng, dtype)
-            block = DoubleConv(2 * width, width, rng, dtype)
+            up = UpConv2x2(ch, width, rng)
+            block = DoubleConv(2 * width, width, rng)
             setattr(self, f"up{i}", up)
             setattr(self, f"dec{i}", block)
             self._ups.append(up)
             self._dec.append(block)
             ch = width
         self.final = Conv2d(ch, out_ch, 3, padding=1,
-                            zero_init=residual, rng=rng, dtype=dtype)
+                            zero_init=residual, rng=rng)
         self.inject = None
         if golf_channels:
             self.inject = Conv2d(golf_channels, out_ch, 3, padding=1,
-                                 zero_init=True, bias=False, dtype=dtype)
+                                 zero_init=True, bias=False)
 
     def forward(self, x, golf=None, return_features=False):
         if x.ndim != 4:
@@ -164,42 +164,42 @@ class FuNet(Module):
     """Five 3x3 convolutions, hidden width ``hidden``, ReLU on the first
     four, linear final layer."""
 
-    def __init__(self, in_ch, out_ch, hidden=32, rng=None, dtype=np.float64):
+    def __init__(self, in_ch, out_ch, hidden=32, rng=None):
         super().__init__()
         if rng is None:
             rng = np.random.default_rng(0)
         self.in_ch = in_ch
         self.out_ch = out_ch
-        self.c1 = Conv2d(in_ch, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
-        self.c2 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
-        self.c3 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
-        self.c4 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
-        self.c5 = Conv2d(hidden, out_ch, 3, padding=1, rng=rng, dtype=dtype)
+        self.c1 = Conv2d(in_ch, hidden, 3, padding=1, rng=rng, slope=0)
+        self.c2 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, slope=0)
+        self.c3 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, slope=0)
+        self.c4 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, slope=0)
+        self.c5 = Conv2d(hidden, out_ch, 3, padding=1, rng=rng)
 
     def forward(self, x):
         return self.c5(self.c4(self.c3(self.c2(self.c1(x)))))
 
     @classmethod
-    def averaging(cls, n_groups, out_ch, avg_groups=2, hidden=32, rng=None,
-                  dtype=np.float64):
-        """Construct weights so the output equals the mean of the first
-        ``avg_groups`` input channel groups (each ``out_ch`` wide).
+    def averaging(cls, n_groups, out_ch, hidden=32, rng=None):
+        """Construct weights so the output equals the mean of the first two
+        of ``n_groups`` input channel groups (each ``out_ch`` wide), the
+        KI and II outputs of an ``RsnBlock``.
 
         Every input channel j is split into a positive and a negative lane
         (2j, 2j+1) by the first layer; relu(x) - relu(-x) = x recovers it.
         Middle layers pass those lanes through unchanged (their values are
         nonnegative, so ReLU is transparent); lanes beyond 2*in_ch keep
         random weights so training has live capacity from the start.  The
-        final layer averages the lanes of the first avg_groups groups and is
-        zero elsewhere.
+        final layer averages the lanes of the first two groups and is zero
+        elsewhere.
         """
         in_ch = n_groups * out_ch
-        if avg_groups < 1 or avg_groups > n_groups:
-            raise ParameterError(f"avg_groups must be in [1, {n_groups}]")
+        if n_groups < 2:
+            raise ParameterError(f"n_groups must be at least 2, got {n_groups}")
         if hidden < 2 * in_ch:
             raise ParameterError(
                 f"averaging init needs hidden >= {2 * in_ch}, got {hidden}")
-        net = cls(in_ch, out_ch, hidden=hidden, rng=rng, dtype=dtype)
+        net = cls(in_ch, out_ch, hidden=hidden, rng=rng)
         w1 = np.zeros_like(net.c1.w.data)
         for j in range(in_ch):
             w1[2 * j, j, 1, 1] = 1.0
@@ -215,12 +215,9 @@ class FuNet(Module):
             conv.w.data = w
             conv.b.data[:] = 0.0
         w5 = np.zeros_like(net.c5.w.data)
-        coeff = 1.0 / avg_groups
-        for g in range(avg_groups):
-            for c in range(out_ch):
-                j = g * out_ch + c
-                w5[c, 2 * j, 1, 1] = coeff
-                w5[c, 2 * j + 1, 1, 1] = -coeff
+        for j in range(2 * out_ch):     # channel j % out_ch of the first two groups
+            w5[j % out_ch, 2 * j, 1, 1] = 0.5
+            w5[j % out_ch, 2 * j + 1, 1, 1] = -0.5
         net.c5.w.data = w5
         net.c5.b.data[:] = 0.0
         return net
@@ -235,9 +232,9 @@ class RsnBlock(Module):
     refinement head and the II decoder through zero-initialized convs.
     """
 
-    def __init__(self, size, mode, channels=2, ki_hidden=16, ii_base=16,
-                 ii_depth=2, fu_hidden=32, t1_assist=False, golf_inject=False,
-                 golf_channels=8, rng=None, dtype=np.float64):
+    def __init__(self, size, mode, ki_hidden=16, ii_base=16, ii_depth=2,
+                 fu_hidden=32, t1_assist=False, golf_inject=False,
+                 golf_channels=8, rng=None):
         super().__init__()
         if mode not in RSN_MODES:
             raise ConfigError(f"unknown rsn mode {mode!r}; pick from {RSN_MODES}")
@@ -246,7 +243,6 @@ class RsnBlock(Module):
         if rng is None:
             rng = np.random.default_rng(0)
         self.mode = mode
-        self.channels = channels
         self.t1_assist = t1_assist
         self.golf_inject = golf_inject
         gch = golf_channels if golf_inject else 0
@@ -254,16 +250,14 @@ class RsnBlock(Module):
         self.ii = None
         self.fu = None
         if mode != "ii_only":
-            self.ki = DTLayer(size, out_channels=channels, hidden=ki_hidden,
-                              golf_channels=gch, rng=rng, dtype=dtype)
+            self.ki = DTLayer(size, hidden=ki_hidden, golf_channels=gch, rng=rng)
         if mode != "ki_only":
-            self.ii = UNet(channels, channels, base=ii_base, depth=ii_depth,
-                           residual=True, golf_channels=gch, rng=rng, dtype=dtype)
+            self.ii = UNet(2, 2, base=ii_base, depth=ii_depth, residual=True,
+                           golf_channels=gch, rng=rng)
         if mode in ("fu", "fu_with_us"):
             groups = 2 + (1 if mode == "fu_with_us" else 0) + (1 if t1_assist else 0)
-            self.fu = FuNet.averaging(groups, channels, avg_groups=2,
-                                      hidden=max(fu_hidden, 2 * groups * channels),
-                                      rng=rng, dtype=dtype)
+            self.fu = FuNet.averaging(groups, 2, hidden=max(fu_hidden, 4 * groups),
+                                      rng=rng)
 
     def _require(self, t1, golf):
         if self.t1_assist and t1 is None:
@@ -291,7 +285,7 @@ class RsnBlock(Module):
         a = self.ki(us_kspace, golf=golf)
         b = self.ii(us_image, golf=golf)
         if mode == "mean":
-            return ad.mul(ad.add(a, b), Tensor(np.asarray(0.5, dtype=a.dtype)))
+            return ad.mul(ad.add(a, b), 0.5)
         stack = [a, b]
         if mode == "fu_with_us":
             stack.append(us_image)
@@ -310,17 +304,15 @@ class GolfModule(Module):
     projection: no loss ever touches it, it only mixes trained features.
     """
 
-    def __init__(self, feature_depth=8, base=16, depth=3, eps=1e-6,
-                 rng=None, dtype=np.float64):
+    def __init__(self, feature_depth=8, base=16, depth=3, eps=1e-6, rng=None):
         super().__init__()
         if rng is None:
             rng = np.random.default_rng(0)
         self.feature_depth = feature_depth
         self.eps = eps
-        self.unet = UNet(1, 2, base=base, depth=depth, residual=False,
-                         rng=rng, dtype=dtype)
+        self.unet = UNet(1, 2, base=base, depth=depth, residual=False, rng=rng)
         total = sum(base * (2 ** i) for i in range(depth))
-        self.reducer = Conv2d(total, feature_depth, 1, rng=rng, dtype=dtype, slope=0)
+        self.reducer = Conv2d(total, feature_depth, 1, rng=rng, slope=0)
         self.trained = False
 
     def predict_gol(self, x):
@@ -348,7 +340,7 @@ class PrnBlock(Module):
     """
 
     def __init__(self, channels=2, hidden=32, w_adv=1.0, w_dist=0.1,
-                 critic_base=16, rng=None, dtype=np.float64):
+                 critic_base=16, rng=None):
         super().__init__()
         if not (math.inf > w_adv > w_dist > 0):
             raise ParameterError(
@@ -357,12 +349,12 @@ class PrnBlock(Module):
             rng = np.random.default_rng(0)
         self.w_adv = w_adv
         self.w_dist = w_dist
-        self.c1 = Conv2d(channels, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
-        self.c2 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
-        self.c3 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
-        self.c4 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype, slope=0)
-        self.c5 = Conv2d(hidden, channels, 3, padding=1, zero_init=True, dtype=dtype)
-        self.critic = Critic(in_ch=channels, base=critic_base, rng=rng, dtype=dtype)
+        self.c1 = Conv2d(channels, hidden, 3, padding=1, rng=rng, slope=0)
+        self.c2 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, slope=0)
+        self.c3 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, slope=0)
+        self.c4 = Conv2d(hidden, hidden, 3, padding=1, rng=rng, slope=0)
+        self.c5 = Conv2d(hidden, channels, 3, padding=1, zero_init=True)
+        self.critic = Critic(in_ch=channels, base=critic_base, rng=rng)
 
     def re_net(self, x):
         return ad.add(x, self.c5(self.c4(self.c3(self.c2(self.c1(x))))))
@@ -383,12 +375,12 @@ class Critic(Module):
     """Four stride-2 convolutions (LeakyReLU 0.2 between) and a global
     average: image -> unbounded scalar score per batch item."""
 
-    def __init__(self, in_ch=2, base=16, rng=None, dtype=np.float64):
+    def __init__(self, in_ch=2, base=16, rng=None):
         super().__init__()
         if rng is None:
             rng = np.random.default_rng(0)
         widths = (base, 2 * base, 4 * base)
-        conv = dict(stride=2, padding=1, rng=rng, dtype=dtype)
+        conv = dict(stride=2, padding=1, rng=rng)
         self.c1 = Conv2d(in_ch, widths[0], 3, slope=0.2, **conv)
         self.c2 = Conv2d(widths[0], widths[1], 3, slope=0.2, **conv)
         self.c3 = Conv2d(widths[1], widths[2], 3, slope=0.2, **conv)
@@ -415,15 +407,15 @@ class Critic(Module):
         t = x.data
         for conv in convs:
             sizes.append(t.shape[2:])
-            t = ad.conv2d(Tensor(t), conv.w.data, conv.b.data, stride=2,
-                          padding=1, slope=conv.slope).data
+            t = ad.conv2d(Tensor(t), conv.w.data, conv.b.data, stride=conv.stride,
+                          padding=conv.padding, slope=conv.slope).data
             if conv.slope is not None:
                 masks.append(ad.act_derivative(t, conv.slope))
         n_avg = t.shape[1] * t.shape[2] * t.shape[3]
         g = Tensor(np.full(t.shape, 1.0 / n_avg, dtype=t.dtype))
-        for i in range(3, -1, -1):
-            wt = ad.transpose(convs[i].w, (1, 0, 2, 3))
-            g = ad.conv_transpose2d(g, wt, stride=2, padding=1,
+        for i, conv in reversed(list(enumerate(convs))):
+            wt = ad.transpose(conv.w, (1, 0, 2, 3))
+            g = ad.conv_transpose2d(g, wt, stride=conv.stride, padding=conv.padding,
                                     output_size=sizes[i])
             if i > 0:
                 g = ad.mul(g, Tensor(masks[i - 1]))

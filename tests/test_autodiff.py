@@ -433,7 +433,7 @@ class TestFusedActivation:
 
     def test_double_conv_keeps_no_pre_activation(self):
         rng = np.random.default_rng(5)
-        block = DoubleConv(4, 8, rng, dtype=np.float32)
+        block = DoubleConv(4, 8, rng).astype(np.float32)
         x = Tensor(rng.normal(size=(2, 4, 16, 16)).astype(np.float32))
         target = np.zeros((2, 8, 16, 16), np.float32)
         fused = mse_loss(block(x), target)

@@ -1,5 +1,6 @@
 """Cascade models, training loops and checkpoints."""
 
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -13,9 +14,11 @@ from dualrec import cascade as cas
 from dualrec.autodiff import Tensor
 from dualrec.errors import (ConfigError, ContainerError, DimensionError,
                             ParameterError, StateError, TrainAbortError)
-from dualrec.fidelity import SensitivitySet
+from dualrec.fidelity import FidelityWeights, SensitivitySet
 from dualrec.fourier import ComplexGrid, fft2c, ifft2c
+from dualrec.layers import Module, kaiming_uniform
 from dualrec.masks import SamplingMask, apply_mask, make_mask
+from dualrec.networks import FuNet, GolfModule, PrnBlock
 from dualrec.phantoms import (Dataset, PhantomSpec, RtcContainer, gen_coil_maps,
                               gen_phantom, load_dataset, make_dataset)
 
@@ -436,7 +439,6 @@ class TestTrain:
 
     def test_each_dataset_staged_once_and_read_only(self, ds_paired, monkeypatch):
         from dualrec import phantoms
-        from dualrec.networks import PrnBlock
         calls = []
         stage = phantoms._stage_sample
         monkeypatch.setattr(phantoms, "_stage_sample",
@@ -567,7 +569,6 @@ class TestTwoStageGolf:
 
 @pytest.fixture(scope="module")
 def prn_report(ds_single, trained_n1, tmp_path_factory):
-    from dualrec.networks import PrnBlock
     out = tmp_path_factory.mktemp("run_prn")
     block = PrnBlock(hidden=8, w_adv=1.0, w_dist=0.5, critic_base=4,
                      rng=np.random.default_rng(41))
@@ -602,18 +603,27 @@ class TestPrn:
         assert abs(report.mean("psnr_db") - prn_report.final_psnr) < 1e-6
 
     def test_multi_coil_rejected(self, ds_multi, trained_n1):
-        from dualrec.networks import PrnBlock
         block = PrnBlock(hidden=8, critic_base=4, rng=np.random.default_rng(0))
         with pytest.raises(ConfigError):
             cas.train_prn(block, trained_n1.model, ds_multi, epochs=1)
 
     def test_critic_collapse_aborts(self, ds_single, trained_n1):
-        from dualrec.networks import PrnBlock
         block = PrnBlock(hidden=8, critic_base=4, rng=np.random.default_rng(1))
         block.critic.c1.w.data[0, 0, 0, 0] = np.nan
         with pytest.raises(TrainAbortError):
             cas.train_prn(block, trained_n1.model, ds_single, epochs=1,
                           critic_steps=1)
+
+    @pytest.mark.parametrize("kw", [dict(epochs=0), dict(batch=0), dict(critic_steps=0),
+                                    dict(lr_re=-1), dict(gp_coeff=math.nan)])
+    def test_bad_keyword_rejected_before_reconstructing(self, ds_single, kw):
+        class Base:
+            def reconstruct(self, sample, mask):
+                raise AssertionError("reconstructed before the arguments were checked")
+
+        block = PrnBlock(hidden=4, critic_base=4, rng=np.random.default_rng(0))
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            cas.train_prn(block, Base(), ds_single, **kw)
 
 
 class TestDriver:
@@ -680,7 +690,6 @@ class TestAbortChecks:
                                           ("generator", 2)])
     def test_infinite_gradient_norm_aborts_its_stage(self, ds_single, trained_n1,
                                                      monkeypatch, stage, n):
-        from dualrec.networks import PrnBlock
         calls, norm = [], cas.global_grad_norm
 
         def norm_inf_from_nth_call(params):
@@ -744,7 +753,42 @@ def _assert_float64(rec):
                 assert p.dtype == np.float64 and p.grad is None, name
 
 
+def _module_classes(cls=Module):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _module_classes(sub)
+
+
 class TestTrainingPrecision:
+    def test_no_builder_takes_a_precision(self):
+        """Only the epoch loop changes a module's precision."""
+        builders = [c for c in _module_classes() if c.__module__.startswith("dualrec.")]
+        assert {"Conv2d", "UNet", "DTLayer", "Critic", "DcRsn"} <= {c.__name__ for c in builders}
+        builders += [FuNet.averaging, kaiming_uniform, FidelityWeights]
+        for b in builders:
+            assert "dtype" not in inspect.signature(b).parameters, b.__qualname__
+
+    def test_fresh_modules_are_float64(self):
+        modules = [cas.build_model(small_spec(mode="fu_with_us")),
+                   cas.build_model(small_spec(family="vs_rsn", n_b=2)),
+                   GolfModule(base=4, depth=2), PrnBlock(hidden=4, critic_base=4)]
+        for m in modules:
+            assert all(p.dtype == np.float64 for p in m.parameters())
+
+    def test_astype_casts_there_and_back_and_drops_grads(self):
+        model = cas.build_model(small_spec())
+        before = [p.data.copy() for p in model.parameters()]
+        for p in model.parameters():
+            p.grad = np.ones_like(p.data)
+        assert model.astype(np.float32) is model
+        for p, b in zip(model.parameters(), before):
+            assert p.dtype == np.float32 and p.grad is None
+            assert np.array_equal(p.data, b.astype(np.float32))
+        model.astype(np.float64)
+        for p, b in zip(model.parameters(), before):
+            assert p.dtype == np.float64 and p.grad is None
+            assert np.array_equal(p.data, b.astype(np.float32))
+
     @pytest.mark.parametrize("family", ["dc_rsn", "vs_rsn"])
     def test_train_steps_in_float32(self, family, ds_single, ds_multi,
                                     optimizer_steps):
@@ -764,7 +808,6 @@ class TestTrainingPrecision:
 
     def test_train_prn_steps_in_float32(self, ds_single, trained_n1,
                                         optimizer_steps):
-        from dualrec.networks import PrnBlock
         block = PrnBlock(hidden=4, critic_base=4, rng=np.random.default_rng(2))
         rep = cas.train_prn(block, trained_n1.model, ds_single, epochs=1,
                             critic_steps=1)
@@ -774,7 +817,6 @@ class TestTrainingPrecision:
         _assert_float64(rep.model)
 
     def test_prn_block_float64_after_abort(self, ds_single, trained_n1):
-        from dualrec.networks import PrnBlock
         block = PrnBlock(hidden=8, critic_base=4, rng=np.random.default_rng(1))
         block.critic.c1.w.data[0, 0, 0, 0] = np.nan
         with pytest.raises(TrainAbortError):

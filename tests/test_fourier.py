@@ -216,15 +216,6 @@ class TestDTLayer:
         report = ad.grad_check(loss, params, tolerance=1e-4)
         assert report.passed, report
 
-    def test_real_output_channel_option(self):
-        layer = fo.DTLayer(8, out_channels=1, rng=np.random.default_rng(1))
-        rng = np.random.default_rng(4)
-        z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        q = Tensor(np.stack([z.real, z.imag], axis=0)[None])
-        out = layer(q)
-        assert out.shape == (1, 1, 8, 8)
-        assert np.max(np.abs(out.data[0, 0] - fo.ifft2c(z).real)) < 1e-10
-
     def test_wrong_grid_size_rejected(self):
         layer = fo.DTLayer(16, rng=np.random.default_rng(0))
         with pytest.raises(DimensionError):

@@ -139,8 +139,7 @@ class TestFuNet:
         assert np.max(np.abs(out.data - 0.5 * (a + b))) < 1e-12
 
     def test_averaging_ignores_extra_groups(self):
-        net = nw.FuNet.averaging(4, 2, avg_groups=2, hidden=32,
-                                 rng=np.random.default_rng(2))
+        net = nw.FuNet.averaging(4, 2, hidden=32, rng=np.random.default_rng(2))
         gen = np.random.default_rng(3)
         groups = [gen.normal(size=(1, 2, 8, 8)) for _ in range(4)]
         out = net(Tensor(np.concatenate(groups, axis=1)))
@@ -152,7 +151,7 @@ class TestFuNet:
 
     def test_bad_avg_groups_rejected(self):
         with pytest.raises(ParameterError):
-            nw.FuNet.averaging(2, 2, avg_groups=3, rng=np.random.default_rng(0))
+            nw.FuNet.averaging(1, 2, rng=np.random.default_rng(0))
 
     def test_gradients_match_finite_differences(self):
         net = nw.FuNet(2, 1, hidden=3, rng=np.random.default_rng(4))
@@ -260,8 +259,8 @@ class TestRsnBlock:
         the UNet builds no concat node, and the block's only one is the KI
         layer's re/im pair, read by the KI refinement head."""
         block = nw.RsnBlock(16, "fu_with_us", t1_assist=True, ki_hidden=4, ii_base=2,
-                            ii_depth=2, fu_hidden=16, rng=np.random.default_rng(3),
-                            dtype=np.float32)
+                            ii_depth=2, fu_hidden=16,
+                            rng=np.random.default_rng(3)).astype(np.float32)
         gen = np.random.default_rng(4)
         us_img, us_k, t1 = (Tensor(gen.normal(size=(2, 2, 16, 16)).astype(np.float32))
                             for _ in range(3))
@@ -427,7 +426,7 @@ def _penalty_written_out(critic, x):
 class TestCritic:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_gradient_penalty_bitwise_as_written_out(self, dtype):
-        critic = nw.Critic(base=4, rng=np.random.default_rng(8), dtype=dtype)
+        critic = nw.Critic(base=4, rng=np.random.default_rng(8)).astype(dtype)
         x = np.random.default_rng(9).normal(size=(2, 2, 16, 16)).astype(dtype)
         runs = []
         for penalty in (nw.gradient_penalty, _penalty_written_out):
