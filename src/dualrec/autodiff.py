@@ -11,6 +11,18 @@ constant.  Gradients written into ``.grad`` accumulate additively across
 walks of separate graphs, so building a loss twice from the same leaves and
 walking each sums their gradients.
 
+The walk's flow table knows which gradients it alone holds.  A closure
+routes an array with ``_flow_add``, or with ``_flow_give`` when it is fresh:
+nothing else holds it, nor any view overlapping it.  ``_flow_give`` marks
+the parent's gradient owned, and it stays owned when ``_flow_add`` later sums
+into it, because a sum is fresh too.  When the walk reaches an owned node it
+hands the node's closure that gradient as ``flow.spare``, which the closure
+may overwrite.  ``conv2d`` gives its dx, and the stride-1 ``conv2d`` masks
+an owned gradient in place and writes its dx into it, so a chain of convs
+walks on one gradient buffer.  The root's seed may be the caller's array
+and is never owned; a plain dict passed as the flow, as tests do, owns
+nothing.
+
 Elementwise binary ops require operands of identical shape, except that a
 0-d tensor may scale/shift an array of any shape (needed for trainable
 scalar weights).  Other implicit broadcasts: the conv bias add and the coil
@@ -124,6 +136,9 @@ class Tensor:
         activation is freed as soon as the last closure reading it is done.
         A walked graph is spent: a second backward from its root raises
         StateError, and a walked node used again counts as a constant.
+        A gradient routed with ``_flow_give`` is owned: the walk alone holds
+        it, so the closure of its node gets it as ``flow.spare`` and may
+        overwrite it.  The seed is never owned, so backward never writes it.
         """
         if self._backward is _spent:
             raise StateError("backward already walked this graph; build it again")
@@ -152,10 +167,13 @@ class Tensor:
                     stack.append((p, False))
         del seen, stack
 
-        flow = {id(self): seed}
+        flow = _Flow({id(self): seed})     # the seed may be the caller's: never owned
         while order:
             node = order.pop()
             g = flow.pop(id(node), None)
+            if id(node) in flow.owned:
+                flow.owned.discard(id(node))
+                flow.spare = g
             if g is not None and node.requires_grad:
                 if node.grad is None:
                     node.grad = np.zeros_like(node.data)
@@ -164,6 +182,7 @@ class Tensor:
                 if g is not None:
                     node._backward(g, flow)
                 node._parents, node._backward = (), _spent
+            flow.spare = None
 
     # -- operator sugar -------------------------------------------------
 
@@ -228,12 +247,34 @@ def _spent(g, flow):
     routes nothing, so the node is a constant to any later graph."""
 
 
+class _Flow(dict):
+    """A backward walk's flow table, node id -> gradient.  ``owned`` holds
+    the ids whose array nothing but the walk holds; ``spare`` is the
+    gradient the running closure may overwrite, else None."""
+
+    __slots__ = ("owned", "spare")
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.owned = set()
+        self.spare = None
+
+
 def _flow_add(flow, node, g):
     key = id(node)
     if key in flow:
         flow[key] = flow[key] + g
     else:
         flow[key] = g
+
+
+def _flow_give(flow, node, g):
+    """Route g, an array that nothing else holds nor any view overlapping
+    it, to node, and mark the node's gradient owned: it is g itself or a sum
+    ``_flow_add`` made.  A plain dict flow owns nothing."""
+    _flow_add(flow, node, g)
+    if isinstance(flow, _Flow):
+        flow.owned.add(id(node))
 
 
 _grad_enabled = True
@@ -576,7 +617,9 @@ def matmul(a, b):
 # [s, s + Ho*Wp) with s = u*Wp + v, and the last Wp-Wo columns of each window
 # row are junk.  Its backward multiplies each sample's gradient by the
 # activation derivative and adds that sample's bias-gradient sum inside the
-# same loop, so no batch-sized scratch exists besides the returned dx.
+# same loop, so no batch-sized scratch exists besides the returned dx.  When
+# the walk alone holds the incoming gradient, the backward masks it in place
+# and, if it has dx's shape, writes dx into it: no batch-sized scratch at all.
 # Strided conv2d keeps its im2col ``cols``; the transposed convs build theirs
 # from the incoming gradient in backward.
 
@@ -623,7 +666,7 @@ def _conv_s1_forward(xs, w, padding):
     return y.reshape(bsz, f, ho, wp)[..., :wp - kw + 1]
 
 
-def _conv_s1_backward(g, xs, w, padding, y, slope, need_dx, need_db):
+def _conv_s1_backward(g, xs, w, padding, y, slope, need_dx, need_db, spare):
     """(dx, dw, db) of the stride-1 conv2d, from the channel-stacked inputs
     xs rather than a patch matrix, one sample at a time.  With a slope, each
     sample's gradient is first multiplied by the activation derivative read
@@ -632,7 +675,13 @@ def _conv_s1_backward(g, xs, w, padding, y, slope, need_dx, need_db):
     is None unless slope and need_db.  Each sample's dx is summed in one
     padded buffer dxf, laid out like xf and zeroed per sample.  It and its
     GEMM scratch are made once per call, after the first sample's masked
-    gradient is freed.  With a batch of one, dx is a view of dxf."""
+    gradient is freed.  With a batch of one, dx is a view of dxf.
+
+    ``spare`` says the backward walk alone holds g.  Then, with a slope and a
+    C-contiguous g, each sample is masked in place in g rather than copied,
+    and db is summed over that contiguous masked sample as over the copy.
+    If the batch is above one and g has dx's shape and dtype, dx is g: the
+    sample i of dx is written into g[i] once g[i] has been read."""
     bsz, c, h, wd, dtype = _stack_dims(xs)
     f, _, kh, kw = w.shape
     hp, wp = h + 2 * padding, wd + 2 * padding
@@ -642,13 +691,17 @@ def _conv_s1_backward(g, xs, w, padding, y, slope, need_dx, need_db):
     gf = np.zeros((f, n), dtype=g.dtype)
     dw_taps = np.empty((kh, kw, bsz, f, c), dtype=np.result_type(g, dtype))
     db = np.zeros(f, dtype=g.dtype) if slope is not None and need_db else None
-    dx = np.empty((bsz, c, h, wd), dtype=dtype) if need_dx and bsz > 1 else None
+    in_place = spare and slope is not None and g.flags.c_contiguous
+    dx = None
+    if need_dx and bsz > 1:
+        reuse = in_place and g.shape == (bsz, c, h, wd) and g.dtype == dtype
+        dx = g if reuse else np.empty((bsz, c, h, wd), dtype=dtype)
     dxf = tmp = None
     for i in range(bsz):
         _pad_sample(xf, xs, i, hp, wp, padding)
         gi = g[i]
         if slope is not None:
-            gi = gi * act_derivative(y[i], slope)
+            gi = np.multiply(gi, act_derivative(y[i], slope), out=gi if in_place else None)
             if db is not None:
                 db += gi.sum(axis=(1, 2))
         _window(gf, ho, wp, 0, ho, wo)[...] = gi
@@ -666,7 +719,7 @@ def _conv_s1_backward(g, xs, w, padding, y, slope, need_dx, need_db):
             dxi = _window(dxf, hp, wp, padding, h, wd)
             if bsz == 1:    # a view of the padded buffer, as no copy is needed
                 dx = dxi[None]
-            else:
+            else:       # g[i], when dx is g, has been read by now
                 dx[i] = dxi
     dw = np.empty(w.shape, dtype=g.dtype)
     for u, v in np.ndindex(kh, kw):     # each tap summed over the batch at once
@@ -750,14 +803,14 @@ def conv2d(x, w, b=None, stride=1, padding=0, slope=None):
     if stride == 1:
         y = _conv_s1_forward([p.data for p in parts], w.data, padding)
 
-        def grads(g, s, need_dx):
+        def grads(g, s, need_dx, spare):
             return _conv_s1_backward(g, [p.data for p in parts], w.data, padding, y, s,
-                                     need_dx, b is not None)
+                                     need_dx, b is not None, spare)
     else:
         cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
         y = np.matmul(w.data.reshape(f, -1), cols).reshape(x.shape[0], f, ho, wo)
 
-        def grads(g, s, need_dx):
+        def grads(g, s, need_dx, spare):
             dx = _conv_dx_raw(g, w.data, x.shape, stride, padding, ho, wo) if need_dx else None
             return dx, _conv_dw_raw(g, cols, w.shape, ho, wo), None
     y = y + b.data.reshape(1, f, 1, 1) if b is not None else np.ascontiguousarray(y)
@@ -771,13 +824,14 @@ def conv2d(x, w, b=None, stride=1, padding=0, slope=None):
             # in one pairwise pass over the batch, unlike a per-sample total
             g, s = g * act_derivative(y, s), None
         # a constant input (no grad, no parents) needs no dx
-        dx, dw, db = grads(g, s, any(p.requires_grad or p._parents for p in parts))
+        dx, dw, db = grads(g, s, any(p.requires_grad or p._parents for p in parts),
+                           getattr(flow, "spare", None) is g)
         _flow_add(flow, w, dw)
         if dx is not None:
             lo = 0
             for p in parts:
                 if p.requires_grad or p._parents:
-                    _flow_add(flow, p, dx[:, lo:lo + p.shape[1]])
+                    _flow_give(flow, p, dx[:, lo:lo + p.shape[1]])
                 lo += p.shape[1]
         if b is not None:
             _flow_add(flow, b, g.sum(axis=(0, 2, 3)) if db is None else db)

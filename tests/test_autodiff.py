@@ -534,18 +534,22 @@ def per_sample_cases(draw):
             draw(st.sampled_from((None, 0, 0.2))), g.astype(dtype))
 
 
+def _peak(fn):
+    """Bytes fn allocates at its peak."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def _backward_peak(node, g):
     """Bytes the node's backward closure allocates at its peak, and the flow
     it leaves."""
     flow = {}
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        node._backward(g, flow)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    return peak, flow
+    return _peak(lambda: node._backward(g, flow)), flow
 
 
 def _check_whole_batch_bits(x, w, b, padding, slope, g):
@@ -705,6 +709,134 @@ class TestChannelStack:
         x = Tensor(np.zeros((1, 2, 8, 8)))
         with pytest.raises(ParameterError, match="stride 1"):
             ad.conv2d(ad.ChannelStack([x, x]), np.zeros((1, 4, 3, 3)), stride=2, padding=1)
+
+
+# --------------------------------------------------------------------------
+# gradients only the backward walk holds, overwritten by the stride-1 conv
+# --------------------------------------------------------------------------
+
+@st.composite
+def owned_chain_cases(draw):
+    """1-3 trainable parts, one conv over them (a ChannelStack when there are
+    several), then a second conv on its output: its dx is a gradient the walk
+    alone holds, handed to the first conv.  Filters equal to the input
+    channels with same-size padding let the first conv write dx into it."""
+    chans = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    c = sum(chans)
+    f = draw(st.sampled_from((c, c + 1)))
+    bs, k = draw(st.integers(1, 4)), draw(st.sampled_from((1, 3)))
+    padding = draw(st.sampled_from((k // 2, 0)))
+    h, w = draw(st.integers(3, 6)), draw(st.integers(3, 6))
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    slopes = draw(st.sampled_from((None, 0, 0.2))), draw(st.sampled_from((None, 0, 0.2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = [rng.normal(size=(bs, ci, h, w)).astype(dtype) for ci in chans]
+    w1, w2 = (rng.normal(size=s).astype(dtype) for s in ((f, c, k, k), (2, f, 3, 3)))
+    b1 = rng.normal(size=f).astype(dtype) if draw(st.booleans()) else None
+    ho, wo = h + 2 * padding - k + 1, w + 2 * padding - k + 1
+    seed = rng.normal(size=(bs, 2, ho, wo)).astype(dtype)
+    return parts, w1, b1, padding, w2, slopes, seed
+
+
+def _plain_walk(root, seed):
+    """Walk root's graph in a topological order, handing each closure a
+    plain dict flow of its own, which owns nothing, and summing what it
+    routes as ``_flow_add`` does.  Returns each leaf's gradient, by id."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack += [(node, True)] + [(p, False) for p in node._parents]
+    flow, leaves = {id(root): seed}, {}
+    for node in reversed(order):
+        g = flow.pop(id(node), None)
+        if g is None:
+            continue
+        if node._backward is None:
+            leaves[id(node)] = g
+            continue
+        routed = {}
+        node._backward(g, routed)
+        for key, v in routed.items():
+            flow[key] = flow[key] + v if key in flow else v
+    return leaves
+
+
+def _check_walks_agree(build, seed):
+    """The walk of build()'s graph leaves, on every leaf, the bits the plain
+    walk of a second build routes to it."""
+    root, leaves = build()
+    ref_root, ref_leaves = build()
+    root.backward(seed)
+    want = _plain_walk(ref_root, seed.copy())
+    assert _same_bits(root.data, ref_root.data)
+    for p, ref in zip(leaves, ref_leaves):
+        g = want[id(ref)]
+        assert _same_bits(p.grad, np.zeros_like(g) + g)
+
+
+def _owned_chain(parts, w1, b1, padding, w2, slopes):
+    """Root and leaves of the chain a case of owned_chain_cases describes."""
+    xs = [Parameter(p.copy()) for p in parts]
+    x = ad.ChannelStack(xs) if len(xs) > 1 else xs[0]
+    wt1, wt2 = Parameter(w1.copy()), Parameter(w2.copy())
+    bt1 = None if b1 is None else Parameter(b1.copy())
+    y = ad.conv2d(ad.conv2d(x, wt1, bt1, padding=padding, slope=slopes[0]),
+                  wt2, padding=1, slope=slopes[1])
+    return y, [p for p in xs + [wt1, wt2, bt1] if p is not None]
+
+
+def _relu_chain(rng, n, bsz, c, hw):
+    """n stride-1 c->c ReLU convs on a trainable [bsz,c,hw,hw] float32 input."""
+    y = Parameter(rng.normal(size=(bsz, c, hw, hw)).astype(np.float32))
+    for _ in range(n):
+        w = Parameter(0.1 * rng.normal(size=(c, c, 3, 3)).astype(np.float32))
+        b = Parameter(rng.normal(size=c).astype(np.float32))
+        y = ad.conv2d(y, w, b, padding=1, slope=0)
+    return y
+
+
+class TestOwnedGradients:
+    @given(owned_chain_cases())
+    def test_matches_a_walk_that_reuses_nothing_bitwise(self, case):
+        *chain, seed = case
+        _check_walks_agree(lambda: _owned_chain(*chain), seed)
+
+    @pytest.mark.parametrize("slope", [0, 0.2])
+    def test_gradient_shared_by_two_convs_is_not_overwritten(self, slope):
+        # the last conv's dx is owned, and add hands it to both first convs
+        rng = np.random.default_rng(11)
+        xs, ws = rng.normal(size=(2, 4, 3, 6, 6)), rng.normal(size=(3, 3, 3, 3, 3))
+
+        def build():
+            leaves = [Parameter(a.copy()) for a in list(xs) + list(ws)]
+            y = ad.add(ad.conv2d(leaves[0], leaves[2], padding=1, slope=slope),
+                       ad.conv2d(leaves[1], leaves[3], padding=1, slope=slope))
+            return ad.conv2d(y, leaves[4], padding=1, slope=slope), leaves
+
+        _check_walks_agree(build, rng.normal(size=(4, 3, 6, 6)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_caller_seed_is_not_written(self, n):
+        rng = np.random.default_rng(12)
+        y = _relu_chain(rng, n, 4, 4, 8)
+        seed = rng.normal(size=y.shape).astype(np.float32)
+        kept = seed.copy()
+        y.backward(seed)
+        assert _same_bits(seed, kept)
+
+    def test_conv_chain_walks_a_batch_gradient_below_plain_dicts(self):
+        y = _relu_chain(np.random.default_rng(13), 3, 4, 32, 32)
+        ref = _relu_chain(np.random.default_rng(13), 3, 4, 32, 32)
+        seed = np.random.default_rng(14).normal(size=y.shape).astype(np.float32)
+        peak = _peak(lambda: y.backward(seed))
+        plain = _peak(lambda: _plain_walk(ref, seed))
+        # the second and third convs write dx into the gradient they were
+        # handed, with no masked copy of a sample
+        assert peak <= plain - seed.nbytes, (peak, plain)
 
 
 class TestGraphSemantics:
