@@ -965,19 +965,19 @@ def sgd_step(param, lr):
 
 
 class Adam:
-    """Convenience wrapper bundling OptimizerState per parameter."""
+    """Convenience wrapper bundling OptimizerState per parameter; it steps
+    at adam_step's eps."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999):
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.state = [OptimizerState(p.shape, p.dtype) for p in self.params]
 
     def step(self):
         for p, s in zip(self.params, self.state):
-            adam_step(p, s, self.lr, self.beta1, self.beta2, self.eps)
+            adam_step(p, s, self.lr, self.beta1, self.beta2)
 
     def zero_grad(self):
         for p in self.params:

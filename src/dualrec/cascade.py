@@ -447,6 +447,9 @@ def save_checkpoint(path, rec, meta=None):
 def _load_group(box, prefix, module):
     state = {name[len(prefix):]: arr for name, arr in box.entries.items()
              if name.startswith(prefix)}
+    for name, arr in state.items():
+        if not np.isfinite(arr).all():
+            raise StateError(f"checkpoint entry {prefix}{name} is not finite")
     module.load_state_dict(state)
     return module
 
@@ -459,7 +462,8 @@ def _meta(d, keys, what="meta"):
 
 
 def load_checkpoint(path):
-    """Rebuild the full Reconstructor saved by save_checkpoint."""
+    """Rebuild the full Reconstructor saved by save_checkpoint.  A missing
+    checkpoint, or a non-finite weight in it, raises StateError."""
     path = Path(path)
     if not path.exists():
         raise StateError(f"checkpoint {path} does not exist")
@@ -651,10 +655,10 @@ def evaluate_model(rec, dataset, split="val"):
     return report
 
 
-def zero_filled_report(dataset, split="val"):
-    """Baseline metrics of the stored zero-filled (or coil-combined) images."""
+def zero_filled_report(dataset):
+    """Validation-split metrics of the stored zero-filled (or coil-combined) images."""
     report = MetricReport()
-    for i in dataset.indices(split):
+    for i in dataset.indices("val"):
         s = dataset.staged[i]
         mag = np.hypot(s["us_image"][0], s["us_image"][1])
         report.add(compare(mag, s["target_mag"], s["id"], data_range=1.0))
@@ -867,7 +871,7 @@ def train_prn(block, base_rec, dataset, epochs=3, batch=4, seed=0,
     def step(ids, descend, opts):
         re_opt, critic_opt = opts
         for _ in range(critic_steps):
-            c_ids = critic_ids[:len(ids)] or list(ids)
+            c_ids = critic_ids[:len(ids)]    # the epoch deals exactly enough
             del critic_ids[:len(ids)]
             critic_sums[-1][0] += critic_update(c_ids, descend, critic_opt)
             critic_sums[-1][1] += 1

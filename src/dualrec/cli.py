@@ -4,8 +4,9 @@ Subcommands: make-dataset, make-mask, train, reconstruct, evaluate.
 Training runs from a strict JSON config (schema 1, unknown keys rejected);
 every run writes the fully resolved config next to its outputs so any
 reported number can be regenerated.  Exit codes: 0 success, 2 usage or
-configuration errors, 3 numeric failures (diverged training, failed
-consistency check).
+configuration errors and malformed inputs (a non-finite checkpoint weight or
+image to evaluate included), 3 numeric failures (diverged training, a
+non-finite reconstruction, failed consistency check).
 """
 
 import argparse
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cascade as cas
-from .errors import ConfigError, DualrecError, NumericError
+from .errors import ConfigError, ContainerError, DualrecError, NumericError
 from .errors import TrainAbortError
 from .fourier import fft2c
 from .masks import MASK_KINDS, make_mask
@@ -134,6 +135,8 @@ def cmd_reconstruct(args):
     for i in ids:
         s = staged[i]
         recon = rec.reconstruct(s, dataset.mask)
+        if not np.isfinite(recon).all():
+            raise NumericError(f"reconstruction of {s['id']} is not finite")
         box = RtcContainer()
         box.add("image", np.stack([recon.real, recon.imag]))
         box.add("zf", s["us_image"])
@@ -161,7 +164,7 @@ def _check_outputs(rec, dataset, staged, ids, out):
         spec_out = fft2c(arr[0] + 1j * arr[1])
         err = np.abs(spec_out[dataset.mask.bits] -
                      s["us_k"][dataset.mask.bits]).max()
-        if err > 1e-8:
+        if not err <= 1e-8:    # a NaN error fails too
             bad.append((s["id"], float(err)))
     if bad:
         for sid, err in bad:
@@ -178,6 +181,8 @@ def _read_image_dir(path):
     out = {}
     for f in files:
         arr = RtcContainer.read(f).get("image").astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise ContainerError(f"{f}: image entry is not finite")
         out[f.stem] = np.hypot(arr[0], arr[1]) if arr.ndim == 3 else arr
     return out
 

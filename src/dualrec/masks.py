@@ -13,9 +13,9 @@ so an independent implementation can reproduce masks bit for bit; that is the
 whole point of carrying our own generator instead of numpy's.
 
 Realized sampled fractions: cartesian and gaussian pick an exact column count
-and always satisfy |f - 1/R| <= 1.5/min(H,W).  Radial and spiral calibrate
-their spoke count / turn count against the target when not given explicitly;
-their granularity is about one spoke, so tests hold them to 2.5/min(H,W).
+and always satisfy |f - 1/R| <= 1.5/min(H,W).  Radial and spiral always
+calibrate their spoke count / turn count against the target; their
+granularity is about one spoke, so tests hold them to 2.5/min(H,W).
 """
 
 from dataclasses import dataclass
@@ -234,31 +234,28 @@ def _rasterize_spokes(height, width, n_spokes):
     return bits
 
 
-def make_radial(height, width, accel, n_spokes=None):
-    """Diameters through the grid center at angles pi*s/n.  When n_spokes is
-    not given, it is calibrated (bracket then bisect on the approximately
-    monotone coverage curve) to bring the fraction near 1/R."""
+def make_radial(height, width, accel):
+    """Diameters through the grid center at angles pi*s/n.  The spoke count n
+    is calibrated (bracket then bisect on the approximately monotone
+    coverage curve) to bring the fraction near 1/R."""
     _validate_common(height, width, accel)
-    if n_spokes is not None and n_spokes < 1:
-        raise ParameterError("n_spokes must be >= 1")
     target = 1.0 / accel
-    if n_spokes is None:
-        hi = 1
-        while _rasterize_spokes(height, width, hi).mean() < target:
-            hi *= 2
-            if hi > 8 * max(height, width):
-                raise ParameterError("target fraction unreachable with spokes")
-        lo = max(1, hi // 2)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _rasterize_spokes(height, width, mid).mean() < target:
-                lo = mid
-            else:
-                hi = mid
-        f_lo = _rasterize_spokes(height, width, lo).mean()
-        f_hi = _rasterize_spokes(height, width, hi).mean()
-        n_spokes = lo if abs(f_lo - target) <= abs(f_hi - target) else hi
-    bits = _rasterize_spokes(height, width, int(n_spokes))
+    hi = 1
+    while _rasterize_spokes(height, width, hi).mean() < target:
+        hi *= 2
+        if hi > 8 * max(height, width):
+            raise ParameterError("target fraction unreachable with spokes")
+    lo = max(1, hi // 2)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _rasterize_spokes(height, width, mid).mean() < target:
+            lo = mid
+        else:
+            hi = mid
+    f_lo = _rasterize_spokes(height, width, lo).mean()
+    f_hi = _rasterize_spokes(height, width, hi).mean()
+    n_spokes = lo if abs(f_lo - target) <= abs(f_hi - target) else hi
+    bits = _rasterize_spokes(height, width, n_spokes)
     bits[height // 2, width // 2] = True
     return SamplingMask(bits, float(accel), "radial", 0)
 
@@ -299,30 +296,25 @@ def _calibrate_turns(height, width, accel):
     return lo if abs(f_lo - target) <= abs(f_hi - target) else hi
 
 
-def make_spiral(height, width, accel, turns=None):
+def make_spiral(height, width, accel):
     """Archimedean spiral r = a*theta out to the corner radius.  Real-valued
-    turn count; bisected against the target fraction when not given."""
+    turn count, bisected against the target fraction."""
     _validate_common(height, width, accel)
-    if turns is not None and turns < 1:
-        raise ParameterError("turns must be >= 1")
-    if turns is None:
-        turns = _calibrate_turns(height, width, accel)
-    bits = _rasterize_spiral(height, width, float(turns))
+    bits = _rasterize_spiral(height, width, _calibrate_turns(height, width, accel))
     bits[height // 2, width // 2] = True
     return SamplingMask(bits, float(accel), "spiral", 0)
 
 
-def make_mask(kind, height, width, accel, seed=0, center_fraction=None,
-              n_spokes=None, turns=None):
+def make_mask(kind, height, width, accel, seed=0, center_fraction=None):
     """Dispatch helper used by dataset generation and the CLI."""
     if kind == "cartesian":
         return make_cartesian(height, width, accel, center_fraction, seed)
     if kind == "gaussian":
         return make_gaussian(height, width, accel, seed)
     if kind == "radial":
-        return make_radial(height, width, accel, n_spokes)
+        return make_radial(height, width, accel)
     if kind == "spiral":
-        return make_spiral(height, width, accel, turns)
+        return make_spiral(height, width, accel)
     raise ParameterError(f"unknown mask kind {kind!r}")
 
 

@@ -26,6 +26,7 @@ from ._filters import (downsample2, filter2_same_reflect, filter2_valid,
 from .errors import DimensionError, ParameterError
 
 PSNR_CAP_DB = 99.0
+_VIF_SIGMA_NSQ, _VIF_EPS = 2.0, 1e-10    # GSM noise variance, variance floor
 
 _SSIM_KERNEL = gaussian_kernel1d(11, 1.5)
 
@@ -79,12 +80,13 @@ def ssim(x, ref, data_range=None):
     return float(np.mean(num / den))
 
 
-def vif(x, ref, sigma_nsq=2.0, eps=1e-10):
+def vif(x, ref):
     """Pixel-domain multi-scale visual information fidelity.
 
     Returns (value, degenerate_flag); degenerate means the reference carried
     no information (zero variance at every scale).
     """
+    sigma_nsq, eps = _VIF_SIGMA_NSQ, _VIF_EPS
     x, ref = _check_pair(x, ref)
     if min(x.shape) < 32:
         raise ParameterError(f"vif needs min dim >= 32, got {x.shape}")

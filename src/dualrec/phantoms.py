@@ -135,28 +135,29 @@ class RtcContainer:
 
 # -- phantom generation --------------------------------------------------
 
+_N_ELLIPSES = 8
+_INTENSITY_RANGE = (0.25, 1.0)
+_AXIS_RANGE = (0.08, 0.3)       # semi-axes, as fractions of the grid size
+_TEXTURE_AMPLITUDE = 0.03
+_EDGE_SOFTNESS = 0.8            # sigma of the edge blur, in pixels
+
+
 @dataclass
 class PhantomSpec:
+    """Grid size (at least 32) and seed; the constants above fix the rest."""
     size: int = 64
-    n_ellipses: int = 8
-    intensity_range: tuple = (0.25, 1.0)
-    axis_range: tuple = (0.08, 0.3)
-    texture_amplitude: float = 0.03
-    edge_softness: float = 0.8
     seed: int = 0
 
     def __post_init__(self):
         if self.size < 32:
             raise ParameterError(f"phantom size must be >= 32, got {self.size}")
-        if self.n_ellipses < 1:
-            raise ParameterError("need at least one ellipse")
 
 
 def _draw_geometry(rng, spec):
     size = spec.size
-    lo, hi = spec.axis_range
+    lo, hi = _AXIS_RANGE
     out = []
-    for _ in range(spec.n_ellipses):
+    for _ in range(_N_ELLIPSES):
         cy, cx = rng.uniform(0.2 * size, 0.8 * size, size=2)
         ay, ax = rng.uniform(lo * size, hi * size, size=2)
         theta = rng.uniform(0.0, np.pi)
@@ -177,10 +178,10 @@ def _render(geometry, intensities, spec, texture_rng):
         yr = (yy - cy) * np.cos(theta) + (xx - cx) * np.sin(theta)
         xr = -(yy - cy) * np.sin(theta) + (xx - cx) * np.cos(theta)
         img += amp * (((yr / ay) ** 2 + (xr / ax) ** 2) <= 1.0)
-    img = filter2_same_reflect(img, _soft_kernel(spec.edge_softness))
+    img = filter2_same_reflect(img, _soft_kernel(_EDGE_SOFTNESS))
     fy, fx = texture_rng.integers(2, 7, size=2)
     ph1, ph2 = texture_rng.uniform(0.0, 2.0 * np.pi, size=2)
-    img += spec.texture_amplitude * np.sin(2 * np.pi * fy * yy / size + ph1) \
+    img += _TEXTURE_AMPLITUDE * np.sin(2 * np.pi * fy * yy / size + ph1) \
         * np.sin(2 * np.pi * fx * xx / size + ph2)
     img -= img.min()
     peak = img.max()
@@ -192,30 +193,28 @@ def _render(geometry, intensities, spec, texture_rng):
 def gen_phantom(spec):
     rng = np.random.default_rng(spec.seed)
     geometry = _draw_geometry(rng, spec)
-    lo, hi = spec.intensity_range
-    intensities = rng.uniform(lo, hi, size=spec.n_ellipses)
+    lo, hi = _INTENSITY_RANGE
+    intensities = rng.uniform(lo, hi, size=_N_ELLIPSES)
     return _render(geometry, intensities, spec, rng)
 
 
-def gen_t1_t2_pair(spec, planted=True):
+def gen_t1_t2_pair(spec):
     """Shared geometry, per-contrast intensities.  Returns (t1, t2, bbox);
-    bbox frames the planted structure (strong in t1, faint in t2) or is None."""
+    bbox frames the planted structure (strong in t1, faint in t2)."""
     rng = np.random.default_rng(spec.seed)
     geometry = _draw_geometry(rng, spec)
-    lo, hi = spec.intensity_range
-    int_t1 = rng.uniform(lo, hi, size=spec.n_ellipses)
-    int_t2 = rng.uniform(lo, hi, size=spec.n_ellipses)
-    bbox = None
-    if planted:
-        size = spec.size
-        cy, cx = rng.uniform(0.3 * size, 0.7 * size, size=2)
-        ay = ax = rng.uniform(0.06 * size, 0.1 * size)
-        geometry = geometry + [(cy, cx, ay, ax, 0.0)]
-        int_t1 = np.append(int_t1, 0.6)
-        int_t2 = np.append(int_t2, 0.06)
-        pad = 3
-        bbox = (max(0, int(cy - ay) - pad), min(size, int(cy + ay) + pad + 1),
-                max(0, int(cx - ax) - pad), min(size, int(cx + ax) + pad + 1))
+    lo, hi = _INTENSITY_RANGE
+    int_t1 = rng.uniform(lo, hi, size=_N_ELLIPSES)
+    int_t2 = rng.uniform(lo, hi, size=_N_ELLIPSES)
+    size = spec.size
+    cy, cx = rng.uniform(0.3 * size, 0.7 * size, size=2)
+    ay = ax = rng.uniform(0.06 * size, 0.1 * size)
+    geometry = geometry + [(cy, cx, ay, ax, 0.0)]
+    int_t1 = np.append(int_t1, 0.6)
+    int_t2 = np.append(int_t2, 0.06)
+    pad = 3
+    bbox = (max(0, int(cy - ay) - pad), min(size, int(cy + ay) + pad + 1),
+            max(0, int(cx - ax) - pad), min(size, int(cx + ax) + pad + 1))
     t1 = _render(geometry, int_t1, spec, np.random.default_rng(spec.seed + 101))
     t2 = _render(geometry, int_t2, spec, np.random.default_rng(spec.seed + 202))
     return t1, t2, bbox
@@ -425,6 +424,7 @@ def _stage_sample(rec, kind):
 
 _MANIFEST_KEYS = ("kind", "size", "accel", "mask_kind", "seed", "files")
 _FILE_KEYS = ("id", "file", "split")
+_VERIFY_TOL = 1e-6
 
 
 def load_dataset(manifest_path):
@@ -469,17 +469,17 @@ def load_dataset(manifest_path):
     return Dataset(manifest, samples, root)
 
 
-def _close(a, b, tol):
+def _close(a, b):
     # float32 storage rounds large k-space magnitudes at ~|v|*6e-8, so the
     # tolerance scales with the stored magnitude (identity scale for images)
     b = np.asarray(b, dtype=np.float64)
     scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    return np.max(np.abs(np.asarray(a, dtype=np.float64) - b)) <= tol * scale
+    return np.max(np.abs(np.asarray(a, dtype=np.float64) - b)) <= _VERIFY_TOL * scale
 
 
-def verify_dataset(manifest_path, tol=1e-6):
-    """Re-derive every stored array from its sources; returns a list of
-    issue strings (empty = consistent)."""
+def verify_dataset(manifest_path):
+    """Re-derive every stored array from its sources, to 1e-6; returns one
+    string per inconsistency found (empty = consistent)."""
     ds = load_dataset(manifest_path)
     issues = []
     want_mask = make_mask(ds.manifest["mask_kind"], ds.size, ds.size,
@@ -492,7 +492,7 @@ def verify_dataset(manifest_path, tol=1e-6):
             issues.append(f"{sid}: stored mask differs from regenerated mask")
         us_k = rec["us_kspace"][0] + 1j * rec["us_kspace"][1]
         back = ifft2c(us_k.astype(np.complex128))
-        if not _close(np.stack([back.real, back.imag]), rec["us_image"], tol):
+        if not _close(np.stack([back.real, back.imag]), rec["us_image"]):
             issues.append(f"{sid}: ifft2(us_kspace) != us_image")
         if ds.kind != "multi":
             # for multi the combined image's spectrum is smeared off the mask
@@ -505,8 +505,7 @@ def verify_dataset(manifest_path, tol=1e-6):
                 issues.append(f"{sid}: target leaves [0,1]")
             if ds.manifest["noise_sigma"] == 0.0:
                 want_k = np.where(mask_bits, fft2c(target.astype(complex)), 0.0)
-                if not _close(np.stack([want_k.real, want_k.imag]),
-                              rec["us_kspace"], tol):
+                if not _close(np.stack([want_k.real, want_k.imag]), rec["us_kspace"]):
                     issues.append(f"{sid}: us_kspace != mask * fft2(target)")
         if ds.kind == "paired":
             if "t1" not in rec:
@@ -531,6 +530,6 @@ def verify_dataset(manifest_path, tol=1e-6):
                              rec["coil_kspace"][i, 1].astype(np.float64), "kspace")
                  for i in range(sens_arr.shape[0])]
             combined = sens_combine(y, sens, want_mask)
-            if not _close(np.stack([combined.re, combined.im]), rec["us_image"], tol):
+            if not _close(np.stack([combined.re, combined.im]), rec["us_image"]):
                 issues.append(f"{sid}: sens_combine(coil data) != us_image")
     return issues

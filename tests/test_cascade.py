@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import TINY_SPEC, dataset_kind, spec_dicts
 from dualrec import cascade as cas
@@ -668,6 +669,25 @@ class TestDriver:
         box.write(tmp_path / "huge.rtc")
         with pytest.raises(ConfigError, match="cannot build"):
             cas.load_checkpoint(tmp_path / "huge.rtc")
+
+
+class TestCheckpointFiniteness:
+    @given(st.data())
+    def test_any_non_finite_weight_raises_state_error(self, golf_report, prn_report,
+                                                      tmp_path_factory, data):
+        """One element of any weight of a model, stage-1, guidance or refiner
+        group set to NaN or +-inf: load_checkpoint names that entry."""
+        src = data.draw(st.sampled_from([golf_report.checkpoint, prn_report.checkpoint]))
+        box = RtcContainer.read(src)
+        name = data.draw(st.sampled_from(sorted(set(box.entries) - {"meta"})))
+        arr = box.entries[name].copy()
+        arr.flat[data.draw(st.integers(0, arr.size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        box.entries[name] = arr
+        path = tmp_path_factory.getbasetemp() / "non_finite_weight.rtc"
+        box.write(path)
+        with pytest.raises(StateError, match=f"entry {name} is not finite"):
+            cas.load_checkpoint(path)
 
 
 class TestAbortChecks:

@@ -65,6 +65,16 @@ def run_dir(ds_dir, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def fu_dir(tmp_path_factory):
+    """A directory holding an untrained fu_with_us checkpoint that fits ds_dir."""
+    spec = cas.CascadeSpec.from_dict(spec_dict(mode="fu_with_us"))
+    rec = cas.Reconstructor(spec, cas.build_model(spec, np.random.default_rng(0)))
+    out = tmp_path_factory.mktemp("clifu")
+    cas.save_checkpoint(out / "checkpoint.rtc", rec)
+    return out
+
+
+@pytest.fixture(scope="module")
 def recon_dir(run_dir, ds_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("clirec") / "val"
     code = main(["reconstruct", "--checkpoint", str(run_dir / "checkpoint.rtc"),
@@ -387,6 +397,55 @@ class TestReconstructCmd:
         assert main(args + ["--check"]) == 3
         assert "consistency violated" in capsys.readouterr().err
 
+    def test_check_fails_a_nan_output(self, run_dir, ds_dir, tmp_path, capsys):
+        out = tmp_path / "r"
+        args = ["reconstruct", "--checkpoint", str(run_dir / "checkpoint.rtc"),
+                "--dataset", str(ds_dir), "--split", "val", "--out", str(out)]
+        assert main(args) == 0
+        victim = sorted(out.glob("*.rtc"))[-1]
+        box = RtcContainer.read(victim)
+        box.entries["image"] = np.full_like(box.entries["image"], np.nan)
+        box.write(victim)
+        assert main(args + ["--check"]) == 3
+        err = capsys.readouterr().err
+        assert f"consistency violated for {victim.stem}: nan" in err
+        assert "1 of 2 outputs" in err
+
+    def test_non_finite_reconstruction_exits_3_before_writing_it(
+            self, run_dir, ds_dir, tmp_path, capsys, monkeypatch):
+        ds = load_dataset(ds_dir)
+        first, second = (ds.samples[i]["id"] for i in ds.indices("val"))
+        reconstruct = cas.Reconstructor.reconstruct
+
+        def nan_on_second(rec, sample, mask):
+            out = reconstruct(rec, sample, mask)
+            if sample["id"] == second:
+                out[3, 4] = np.nan
+            return out
+
+        monkeypatch.setattr(cas.Reconstructor, "reconstruct", nan_on_second)
+        out = tmp_path / "r"
+        assert main(["reconstruct", "--checkpoint", str(run_dir / "checkpoint.rtc"),
+                     "--dataset", str(ds_dir), "--split", "val", "--out", str(out)]) == 3
+        assert f"reconstruction of {second} is not finite" in capsys.readouterr().err
+        assert (out / f"{first}.rtc").exists() and not (out / f"{second}.rtc").exists()
+
+    # a NaN in ki.refine1.w does not show in the images: the fused ReLU maps it to 0
+    @pytest.mark.parametrize("run, entry, value", [
+        ("fu_dir", "model/block0.fu.c5.b", np.inf),
+        ("run_dir", "model/block0.ki.refine1.w", np.nan)], ids=["fu_inf", "ki_nan"])
+    def test_non_finite_weight_exits_2(self, request, ds_dir, tmp_path, capsys,
+                                       run, entry, value):
+        box = RtcContainer.read(request.getfixturevalue(run) / "checkpoint.rtc")
+        box.entries[entry] = box.entries[entry].copy()
+        box.entries[entry].flat[0] = value
+        bad = tmp_path / "bad.rtc"
+        box.write(bad)
+        assert main(["reconstruct", "--checkpoint", str(bad), "--dataset",
+                     str(ds_dir), "--out", str(tmp_path / "out")]) == 2
+        assert f"entry {entry} is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_check_without_outputs_is_usage_error(self, run_dir, ds_dir,
                                                   tmp_path):
         assert main(["reconstruct", "--checkpoint",
@@ -528,6 +587,21 @@ class TestEvaluateCmd:
         assert main(["evaluate", "--recon", str(clone), "--target",
                      str(ds_dir), "--out", str(tmp_path / "m.csv")]) == 2
         assert "image" in capsys.readouterr().err
+
+    def test_non_finite_recon_exits_2(self, recon_dir, ds_dir, tmp_path, capsys):
+        clone = tmp_path / "clone"
+        clone.mkdir()
+        for f in recon_dir.glob("*.rtc"):
+            (clone / f.name).write_bytes(f.read_bytes())
+        victim = sorted(clone.glob("*.rtc"))[0]
+        box = RtcContainer.read(victim)
+        box.entries["image"][1, 5, 6] = np.nan
+        box.write(victim)
+        csv = tmp_path / "m.csv"
+        assert main(["evaluate", "--recon", str(clone), "--target",
+                     str(ds_dir), "--out", str(csv)]) == 2
+        assert f"{victim}: image entry is not finite" in capsys.readouterr().err
+        assert not csv.exists()
 
     def test_empty_recon_dir(self, ds_dir, tmp_path):
         empty = tmp_path / "none"
