@@ -1,15 +1,21 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-A Tensor wraps an ndarray plus an optional gradient accumulator.  Ops build a
-DAG by storing parent references and a closure that routes the incoming
-gradient to each parent.  ``Tensor.backward`` walks the graph once, in
-reverse topological order, and frees it as it goes: each node drops its
-parents and closure once its closure has run, so an activation is released
-as soon as the last closure that reads it is done.  A second backward from
-the same root raises StateError; a walked node used in a new graph is a
-constant.  Gradients written into ``.grad`` accumulate additively across
-walks of separate graphs, so building a loss twice from the same leaves and
-walking each sums their gradients.
+A Tensor wraps an ndarray plus an optional gradient accumulator.  The graph
+is kept apart from the values.  An op's output Tensor holds its data and
+points to a ``_Node``, which holds its parents' nodes and a closure that
+routes the incoming gradient to them, and no data.  A leaf (a Parameter, or
+any tensor with requires_grad) is its own node.  A constant input (no grad,
+no graph) gets no node, and no closure routes a gradient to it.  Each
+closure captures exactly the arrays its gradient formula reads, so an
+intermediate value is freed as soon as the caller drops its Tensor, unless
+a backward needs it.  ``Tensor.backward`` walks the graph once, in reverse
+topological order, and frees it as it goes: each node drops its parents and
+closure once its closure has run, so an array a closure kept is released as
+soon as that closure is done.  A second backward from the same root raises
+StateError; a walked node used in a new graph is a constant.  Gradients
+written into ``.grad`` accumulate additively across walks of separate
+graphs, so building a loss twice from the same leaves and walking each sums
+their gradients.
 
 The walk's flow table knows which gradients it alone holds.  A closure
 routes an array with ``_flow_add``, or with ``_flow_give`` when it is fresh:
@@ -43,23 +49,32 @@ the one epoch loop of ``cascade`` casts the module with ``Module.astype``,
 and every batch, to float32 for the duration of the loop and back to
 float64 afterwards.
 
-A graph keeps each op's parents plus what its backward closure holds.  A
-stride-1 ``conv2d`` (every convolution of the reconstruction networks)
-holds nothing beyond its input, a parent already, or the parts of its
-``ChannelStack``.  Its forward and both gradients work one sample at a
-time: kh*kw shifted GEMMs over one zero-padded copy of the sample (each
-stacked part written into its own rows), rebuilt in backward, so their
-scratch is one sample's size.  Backward applies the activation derivative
-and sums the bias gradient inside that per-sample loop, and hands each
-stacked part that needs a gradient its channel slice of dx.  A strided
-``conv2d`` (the critic) keeps its im2col patch matrix, kh*kw times its
-input, until backward.  Neither kind computes dx for a constant input (no
-grad, no parents).  ``conv2d(..., slope=s)`` applies ReLU (s = 0) or LeakyReLU
-(0 < s < 1) in place on its output, so an activated conv keeps its
-activated output only: backward reads the derivative from the output's
-sign, and no pre-activation or mask lives in the graph.  ``maxpool2x2``
-keeps uint8 argmax indices.  ``conv_transpose2d``/``upconv2x2`` keep
-nothing extra and build a patch matrix of the incoming gradient during
+What each closure keeps:
+
+* ``mul``, ``div``, ``matmul``: the other operand's array, and only when
+  this operand needs a gradient (``div`` also keeps its denominator);
+* ``conv2d``: its input's arrays (each ``ChannelStack`` part) and, with a
+  slope, its activated output; a strided one (the critic) keeps its im2col
+  patch matrix, kh*kw times its input, instead of the input;
+* ``conv_transpose2d``/``upconv2x2``: its input;
+* ``square``, ``log``: their input; ``exp``, ``sqrt``, ``leaky_relu``: their
+  output; ``maxpool2x2``: its uint8 argmax indices;
+* ``add``, ``sub``, ``neg``, ``reshape``, ``transpose``, ``concat``,
+  ``getitem``, ``repeat_axis``, the sums and means, ``fourier.fft2_t``/
+  ``ifft2_t`` and ``fidelity.cmul_const``: shapes and constants only.
+
+A stride-1 ``conv2d`` (every convolution of the reconstruction networks)
+works one sample at a time in forward and both gradients: kh*kw shifted
+GEMMs over one zero-padded copy of the sample (each stacked part written
+into its own rows), rebuilt in backward, so their scratch is one sample's
+size.  Backward applies the activation derivative and sums the bias
+gradient inside that per-sample loop, and hands each stacked part that
+needs a gradient its channel slice of dx.  Neither kind of ``conv2d``
+computes dx for a constant input.  ``conv2d(..., slope=s)`` applies ReLU
+(s = 0) or LeakyReLU (0 < s < 1) in place on its output, so an activated
+conv keeps its activated output only: backward reads the derivative from
+the output's sign, and no pre-activation or mask lives in the graph.
+``conv_transpose2d`` builds a patch matrix of the incoming gradient during
 backward.
 
 Inference that never calls ``backward`` should run under ``no_grad()``.
@@ -78,14 +93,17 @@ from .errors import DimensionError, ParameterError, StateError
 
 
 class Tensor:
-    """A node in the computation graph.
+    """An array in the computation.
 
     data            ndarray payload
-    requires_grad   whether backward should accumulate into .grad
+    requires_grad   whether backward should accumulate into .grad (a leaf)
     grad            ndarray accumulator, allocated lazily, never reset implicitly
+
+    An op output points to its graph node; ``_parents`` and ``_backward`` are
+    that node's, or () and None for a tensor no op made.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         if isinstance(data, Tensor):
@@ -93,8 +111,15 @@ class Tensor:
         self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._backward = None
+        self._node = None
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
 
     # -- introspection -------------------------------------------------
 
@@ -126,14 +151,14 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def backward(self, seed=None):
-        """Accumulate d(self)/d(node) into every reachable node with requires_grad.
+        """Accumulate d(self)/d(leaf) into every reachable leaf with requires_grad.
 
         ``seed`` defaults to ones, so calling backward on a 0-d loss seeds 1.0.
         Flow gradients live in a private table during the walk and are added
         into ``.grad``, so walks of separate graphs sum there.  The walk pops
         each node off the topological order; once the node's closure has run,
         or when it got no gradient, its parents and closure are dropped, so an
-        activation is freed as soon as the last closure reading it is done.
+        array a closure kept is freed as soon as that closure is done.
         A walked graph is spent: a second backward from its root raises
         StateError, and a walked node used again counts as a constant.
         A gradient routed with ``_flow_give`` is owned: the walk alone holds
@@ -149,10 +174,13 @@ class Tensor:
             if seed.shape != self.data.shape:
                 raise DimensionError(
                     f"backward seed shape {seed.shape} != tensor shape {self.data.shape}")
+        root = _node_of(self)
+        if root is None:    # a constant: nothing to route to
+            return
 
         order = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -167,7 +195,7 @@ class Tensor:
                     stack.append((p, False))
         del seen, stack
 
-        flow = _Flow({id(self): seed})     # the seed may be the caller's: never owned
+        flow = _Flow({id(root): seed})     # the seed may be the caller's: never owned
         while order:
             node = order.pop()
             g = flow.pop(id(node), None)
@@ -235,6 +263,29 @@ class Parameter(Tensor):
         self.name = name
 
 
+class _Node:
+    """The graph identity of an op output: its parents' nodes and the closure
+    that routes its gradient to them.  It holds no data; the closure holds
+    the arrays its gradient formula reads, and nothing else."""
+
+    __slots__ = ("_parents", "_backward", "__weakref__")
+    requires_grad = False
+
+    def __init__(self, parents, backward):
+        self._parents = parents
+        self._backward = backward
+
+
+def _node_of(t):
+    """Where t's gradient goes: the node of the op that made t while it is
+    unwalked, t itself for a leaf with requires_grad, else None (a constant,
+    which no closure routes to)."""
+    node = t._node
+    if node is not None and node._parents:
+        return node
+    return t if t.requires_grad else None
+
+
 def _as_tensor(x, like=None):
     if isinstance(x, Tensor):
         return x
@@ -293,11 +344,14 @@ def no_grad():
 
 
 def _make(data, parents, backward):
+    """The op output Tensor of ``data``.  With grad enabled and a parent
+    tensor that is not a constant, it points to a new node over its
+    parents' nodes and the closure ``backward(g, flow)``."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
-        out._parents = tuple(parents)
-        out._backward = backward
-        out.requires_grad = False
+    if _grad_enabled:
+        nodes = tuple(n for n in map(_node_of, parents) if n is not None)
+        if nodes:
+            out._node = _Node(nodes, backward)
     return out
 
 
@@ -323,10 +377,13 @@ def add(a, b):
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
     _check_elementwise(a, b)
+    na, nb, a_shape, b_shape = _node_of(a), _node_of(b), a.shape, b.shape
 
     def backward(g, flow):
-        _flow_add(flow, a, _reduce_to(g, a.shape))
-        _flow_add(flow, b, _reduce_to(g, b.shape))
+        if na is not None:
+            _flow_add(flow, na, _reduce_to(g, a_shape))
+        if nb is not None:
+            _flow_add(flow, nb, _reduce_to(g, b_shape))
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -335,10 +392,13 @@ def sub(a, b):
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
     _check_elementwise(a, b)
+    na, nb, a_shape, b_shape = _node_of(a), _node_of(b), a.shape, b.shape
 
     def backward(g, flow):
-        _flow_add(flow, a, _reduce_to(g, a.shape))
-        _flow_add(flow, b, _reduce_to(-g, b.shape))
+        if na is not None:
+            _flow_add(flow, na, _reduce_to(g, a_shape))
+        if nb is not None:
+            _flow_add(flow, nb, _reduce_to(-g, b_shape))
 
     return _make(a.data - b.data, (a, b), backward)
 
@@ -347,10 +407,16 @@ def mul(a, b):
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
     _check_elementwise(a, b)
+    na, nb, a_shape, b_shape = _node_of(a), _node_of(b), a.shape, b.shape
+    # each operand's gradient reads the other operand
+    a_data = a.data if nb is not None else None
+    b_data = b.data if na is not None else None
 
     def backward(g, flow):
-        _flow_add(flow, a, _reduce_to(g * b.data, a.shape))
-        _flow_add(flow, b, _reduce_to(g * a.data, b.shape))
+        if na is not None:
+            _flow_add(flow, na, _reduce_to(g * b_data, a_shape))
+        if nb is not None:
+            _flow_add(flow, nb, _reduce_to(g * a_data, b_shape))
 
     return _make(a.data * b.data, (a, b), backward)
 
@@ -359,59 +425,68 @@ def div(a, b):
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
     _check_elementwise(a, b)
+    na, nb, a_shape, b_shape = _node_of(a), _node_of(b), a.shape, b.shape
+    a_data, b_data = a.data if nb is not None else None, b.data
 
     def backward(g, flow):
-        _flow_add(flow, a, _reduce_to(g / b.data, a.shape))
-        _flow_add(flow, b, _reduce_to(-g * a.data / (b.data * b.data), b.shape))
+        if na is not None:
+            _flow_add(flow, na, _reduce_to(g / b_data, a_shape))
+        if nb is not None:
+            _flow_add(flow, nb, _reduce_to(-g * a_data / (b_data * b_data), b_shape))
 
     return _make(a.data / b.data, (a, b), backward)
 
 
 def neg(a):
     a = _as_tensor(a)
+    na = _node_of(a)
 
     def backward(g, flow):
-        _flow_add(flow, a, -g)
+        _flow_add(flow, na, -g)
 
     return _make(-a.data, (a,), backward)
 
 
 def exp(a):
     a = _as_tensor(a)
+    na = _node_of(a)
     out_data = np.exp(a.data)
 
     def backward(g, flow):
-        _flow_add(flow, a, g * out_data)
+        _flow_add(flow, na, g * out_data)
 
     return _make(out_data, (a,), backward)
 
 
 def log(a):
     a = _as_tensor(a)
+    na, a_data = _node_of(a), a.data
 
     def backward(g, flow):
-        _flow_add(flow, a, g / a.data)
+        _flow_add(flow, na, g / a_data)
 
-    return _make(np.log(a.data), (a,), backward)
+    return _make(np.log(a_data), (a,), backward)
 
 
 def sqrt(a):
     a = _as_tensor(a)
+    na = _node_of(a)
     out_data = np.sqrt(a.data)
 
     def backward(g, flow):
-        _flow_add(flow, a, g * (0.5 / out_data))
+        _flow_add(flow, na, g * (0.5 / out_data))
 
     return _make(out_data, (a,), backward)
 
 
 def square(a):
     a = _as_tensor(a)
+    na, a_data = _node_of(a), a.data
 
     def backward(g, flow):
-        _flow_add(flow, a, g * (2.0 * a.data))
+        _flow_add(flow, na, g * (2.0 * a_data))
 
-    return _make(a.data * a.data, (a,), backward)
+    return _make(a_data * a_data, (a,), backward)
 
 
 def _activate(y, slope):
@@ -439,10 +514,11 @@ def relu(a):
 
 def leaky_relu(a, slope=0.2):
     a = _as_tensor(a)
+    na = _node_of(a)
     out = _activate(a.data.copy(), slope)
 
     def backward(g, flow):
-        _flow_add(flow, a, g * act_derivative(out, slope))
+        _flow_add(flow, na, g * act_derivative(out, slope))
 
     return _make(out, (a,), backward)
 
@@ -451,33 +527,34 @@ def leaky_relu(a, slope=0.2):
 
 def reshape(a, shape):
     a = _as_tensor(a)
-    in_shape = a.shape
+    na, in_shape = _node_of(a), a.shape
 
     def backward(g, flow):
-        _flow_add(flow, a, g.reshape(in_shape))
+        _flow_add(flow, na, g.reshape(in_shape))
 
     return _make(a.data.reshape(shape), (a,), backward)
 
 
 def transpose(a, axes):
     a = _as_tensor(a)
+    na = _node_of(a)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
 
     def backward(g, flow):
-        _flow_add(flow, a, g.transpose(inv))
+        _flow_add(flow, na, g.transpose(inv))
 
     return _make(a.data.transpose(axes), (a,), backward)
 
 
 def getitem(a, idx):
     a = _as_tensor(a)
-    in_shape = a.shape
+    na, in_shape = _node_of(a), a.shape
 
     def backward(g, flow):
         full = np.zeros(in_shape, dtype=g.dtype)
         np.add.at(full, idx, g)
-        _flow_add(flow, a, full)
+        _flow_add(flow, na, full)
 
     return _make(a.data[idx], (a,), backward)
 
@@ -486,14 +563,15 @@ def concat(tensors, axis=0):
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ParameterError("concat of an empty sequence")
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    nodes = [_node_of(t) for t in tensors]
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors]).tolist()
 
     def backward(g, flow):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _flow_add(flow, t, g[tuple(sl)])
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if n is not None:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(lo, hi)
+                _flow_add(flow, n, g[tuple(sl)])
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
@@ -532,9 +610,10 @@ def repeat_axis(a, reps, axis):
     a = _as_tensor(a)
     if a.shape[axis] != 1:
         raise DimensionError(f"repeat_axis needs length-1 axis, got {a.shape[axis]}")
+    na = _node_of(a)
 
     def backward(g, flow):
-        _flow_add(flow, a, g.sum(axis=axis, keepdims=True))
+        _flow_add(flow, na, g.sum(axis=axis, keepdims=True))
 
     return _make(np.repeat(a.data, reps, axis=axis), (a,), backward)
 
@@ -543,42 +622,45 @@ def repeat_axis(a, reps, axis):
 
 def sum_all(a):
     a = _as_tensor(a)
+    na, shape, dtype = _node_of(a), a.shape, a.dtype
 
     def backward(g, flow):
-        _flow_add(flow, a, np.full(a.shape, g, dtype=a.dtype))
+        _flow_add(flow, na, np.full(shape, g, dtype=dtype))
 
     return _make(np.asarray(a.data.sum()), (a,), backward)
 
 
 def mean_all(a):
     a = _as_tensor(a)
-    n = a.size
+    na, shape, dtype, n = _node_of(a), a.shape, a.dtype, a.size
 
     def backward(g, flow):
-        _flow_add(flow, a, np.full(a.shape, g / n, dtype=a.dtype))
+        _flow_add(flow, na, np.full(shape, g / n, dtype=dtype))
 
     return _make(np.asarray(a.data.mean()), (a,), backward)
 
 
 def sum_axes(a, axes):
     a = _as_tensor(a)
+    na, shape = _node_of(a), a.shape
     axes = tuple(sorted(axes))
 
     def backward(g, flow):
         expanded = np.expand_dims(g, axes)
-        _flow_add(flow, a, np.broadcast_to(expanded, a.shape).copy())
+        _flow_add(flow, na, np.broadcast_to(expanded, shape).copy())
 
     return _make(a.data.sum(axis=axes), (a,), backward)
 
 
 def mean_axes(a, axes):
     a = _as_tensor(a)
+    na, shape = _node_of(a), a.shape
     axes = tuple(sorted(axes))
     n = int(np.prod([a.shape[ax] for ax in axes]))
 
     def backward(g, flow):
         expanded = np.expand_dims(g / n, axes)
-        _flow_add(flow, a, np.broadcast_to(expanded, a.shape).copy())
+        _flow_add(flow, na, np.broadcast_to(expanded, shape).copy())
 
     return _make(a.data.mean(axis=axes), (a,), backward)
 
@@ -596,26 +678,32 @@ def matmul(a, b):
         raise DimensionError("at most one matmul operand may be batched")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dims {a.shape[-1]} != {b.shape[-2]}")
+    na, nb, a_shape, b_shape = _node_of(a), _node_of(b), a.shape, b.shape
+    # each operand's gradient reads the other operand
+    a_data = a.data if nb is not None else None
+    b_data = b.data if na is not None else None
 
     def backward(g, flow):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        if ga.shape != a.shape:
-            ga = ga.reshape((-1,) + a.shape).sum(axis=0) if ga.ndim > a.ndim else ga
-        if gb.shape != b.shape:
-            gb = gb.reshape((-1,) + b.shape).sum(axis=0) if gb.ndim > b.ndim else gb
-        _flow_add(flow, a, ga)
-        _flow_add(flow, b, gb)
+        if na is not None:
+            ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
+            if ga.shape != a_shape and ga.ndim > len(a_shape):
+                ga = ga.reshape((-1,) + a_shape).sum(axis=0)
+            _flow_add(flow, na, ga)
+        if nb is not None:
+            gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
+            if gb.shape != b_shape and gb.ndim > len(b_shape):
+                gb = gb.reshape((-1,) + b_shape).sum(axis=0)
+            _flow_add(flow, nb, gb)
 
     return _make(np.matmul(a.data, b.data), (a, b), backward)
 
 
 # -- spatial ops ----------------------------------------------------------
-# A stride-1 conv2d keeps no buffer for backward and works one sample at a
-# time, as kh*kw shifted GEMMs over one reused copy of the sample, zero-padded
-# into a flat [C, Hp*Wp + kw-1] buffer: tap (u,v) reads the window
-# [s, s + Ho*Wp) with s = u*Wp + v, and the last Wp-Wo columns of each window
-# row are junk.  Its backward multiplies each sample's gradient by the
+# A stride-1 conv2d keeps its input's arrays for backward and works one
+# sample at a time, as kh*kw shifted GEMMs over one reused copy of the
+# sample, zero-padded into a flat [C, Hp*Wp + kw-1] buffer: tap (u,v) reads
+# the window [s, s + Ho*Wp) with s = u*Wp + v, and the last Wp-Wo columns of
+# each window row are junk.  Its backward multiplies each sample's gradient by the
 # activation derivative and adds that sample's bias-gradient sum inside the
 # same loop, so no batch-sized scratch exists besides the returned dx.  When
 # the walk alone holds the incoming gradient, the backward masks it in place
@@ -800,41 +888,48 @@ def conv2d(x, w, b=None, stride=1, padding=0, slope=None):
         if b.shape != (f,):
             raise DimensionError(f"conv2d bias shape {b.shape} != ({f},)")
 
+    wd = w.data
     if stride == 1:
-        y = _conv_s1_forward([p.data for p in parts], w.data, padding)
+        xs = [p.data for p in parts]
+        y = _conv_s1_forward(xs, wd, padding)
 
         def grads(g, s, need_dx, spare):
-            return _conv_s1_backward(g, [p.data for p in parts], w.data, padding, y, s,
-                                     need_dx, b is not None, spare)
+            return _conv_s1_backward(g, xs, wd, padding, kept, s, need_dx,
+                                     nb is not None, spare)
     else:
+        x_shape = x.shape
         cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
-        y = np.matmul(w.data.reshape(f, -1), cols).reshape(x.shape[0], f, ho, wo)
+        y = np.matmul(wd.reshape(f, -1), cols).reshape(x_shape[0], f, ho, wo)
 
         def grads(g, s, need_dx, spare):
-            dx = _conv_dx_raw(g, w.data, x.shape, stride, padding, ho, wo) if need_dx else None
-            return dx, _conv_dw_raw(g, cols, w.shape, ho, wo), None
+            dx = _conv_dx_raw(g, wd, x_shape, stride, padding, ho, wo) if need_dx else None
+            return dx, _conv_dw_raw(g, cols, wd.shape, ho, wo), None
     y = y + b.data.reshape(1, f, 1, 1) if b is not None else np.ascontiguousarray(y)
-    if slope is not None:
-        _activate(y, slope)
+    kept = None
+    if slope is not None:   # backward reads the derivative from the output
+        kept = _activate(y, slope)
+    routes = [(_node_of(p), p.shape[1]) for p in parts]
+    nw = _node_of(w)
+    nb = None if b is None else _node_of(b)
 
     def backward(g, flow):
         s = slope
         if s is not None and (stride != 1 or f == 1):
             # the whole masked gradient: numpy sums a one-filter bias gradient
             # in one pairwise pass over the batch, unlike a per-sample total
-            g, s = g * act_derivative(y, s), None
-        # a constant input (no grad, no parents) needs no dx
-        dx, dw, db = grads(g, s, any(p.requires_grad or p._parents for p in parts),
-                           getattr(flow, "spare", None) is g)
-        _flow_add(flow, w, dw)
+            g, s = g * act_derivative(kept, s), None
+        need_dx = any(n is not None for n, _ in routes)
+        dx, dw, db = grads(g, s, need_dx, getattr(flow, "spare", None) is g)
+        if nw is not None:
+            _flow_add(flow, nw, dw)
         if dx is not None:
             lo = 0
-            for p in parts:
-                if p.requires_grad or p._parents:
-                    _flow_give(flow, p, dx[:, lo:lo + p.shape[1]])
-                lo += p.shape[1]
-        if b is not None:
-            _flow_add(flow, b, g.sum(axis=(0, 2, 3)) if db is None else db)
+            for n, c in routes:
+                if n is not None:
+                    _flow_give(flow, n, dx[:, lo:lo + c])
+                lo += c
+        if nb is not None:
+            _flow_add(flow, nb, g.sum(axis=(0, 2, 3)) if db is None else db)
 
     parents = parts + ((w,) if b is None else (w, b))
     return _make(y, parents, backward)
@@ -866,6 +961,10 @@ def conv_transpose2d(x, w, b=None, stride=1, padding=0, output_size=None):
         if b.shape != (f,):
             raise DimensionError(f"conv_transpose2d bias shape {b.shape} != ({f},)")
 
+    nx, nw = _node_of(x), _node_of(w)
+    nb = None if b is None else _node_of(b)
+    x_shape = x.shape
+    x_data = x.data if nw is not None else None     # dw reads the input
     w_sw = w.data.transpose(1, 0, 2, 3)  # [C,F,kh,kw]
     y = _conv_dx_raw(x.data, w_sw, (bsz, f, ho, wo), stride, padding, h, wdt)
     if b is not None:
@@ -875,12 +974,13 @@ def conv_transpose2d(x, w, b=None, stride=1, padding=0, output_size=None):
         cols, gho, gwo = _im2col(g, kh, kw, stride, padding)
         if (gho, gwo) != (h, wdt):
             raise DimensionError("conv_transpose2d gradient shape mismatch")
-        gx = np.matmul(w_sw.reshape(c, f * kh * kw), cols).reshape(x.shape)
-        dw_sw = _conv_dw_raw(x.data, cols, (c, f, kh, kw), h, wdt)
-        _flow_add(flow, x, gx)
-        _flow_add(flow, w, dw_sw.transpose(1, 0, 2, 3))
-        if b is not None:
-            _flow_add(flow, b, g.sum(axis=(0, 2, 3)))
+        if nx is not None:
+            _flow_add(flow, nx, np.matmul(w_sw.reshape(c, f * kh * kw), cols).reshape(x_shape))
+        if nw is not None:
+            dw_sw = _conv_dw_raw(x_data, cols, (c, f, kh, kw), h, wdt)
+            _flow_add(flow, nw, dw_sw.transpose(1, 0, 2, 3))
+        if nb is not None:
+            _flow_add(flow, nb, g.sum(axis=(0, 2, 3)))
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(y, parents, backward)
@@ -912,12 +1012,13 @@ def maxpool2x2(x):
     # argmax returns the first max: row-major tie rule
     idx = flat.argmax(axis=-1)[..., None].astype(np.uint8)
     out = np.take_along_axis(flat, idx, axis=-1)[..., 0]
+    nx, dtype = _node_of(x), x.dtype
 
     def backward(g, flow):
-        gf = np.zeros((b, c, h // 2, w // 2, 4), dtype=x.dtype)
+        gf = np.zeros((b, c, h // 2, w // 2, 4), dtype=dtype)
         np.put_along_axis(gf, idx, g[..., None], axis=-1)
         gx = gf.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
-        _flow_add(flow, x, gx)
+        _flow_add(flow, nx, gx)
 
     return _make(out, (x,), backward)
 

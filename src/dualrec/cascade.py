@@ -461,9 +461,25 @@ def _meta(d, keys, what="meta"):
     return {k: d[k] for k in keys}
 
 
+def _check_golf_meta(g):
+    """StateError unless the golf meta's widths are positive ints, its eps a
+    positive finite real and its trained flag a bool."""
+    for k in ("feature_depth", "base", "depth"):
+        v = g[k]
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
+            raise StateError(f"checkpoint golf meta {k} must be a positive int, got {v!r}")
+    eps = g["eps"]
+    if not isinstance(eps, numbers.Real) or isinstance(eps, bool) or not 0 < eps < math.inf:
+        raise StateError(f"checkpoint golf meta eps must be a positive finite real, "
+                         f"got {eps!r}")
+    if not isinstance(g["trained"], bool):
+        raise StateError(f"checkpoint golf meta trained must be a bool, got {g['trained']!r}")
+
+
 def load_checkpoint(path):
     """Rebuild the full Reconstructor saved by save_checkpoint.  A missing
-    checkpoint, or a non-finite weight in it, raises StateError."""
+    checkpoint, a non-finite weight in it, or golf meta of the wrong type or
+    range raises StateError."""
     path = Path(path)
     if not path.exists():
         raise StateError(f"checkpoint {path} does not exist")
@@ -479,11 +495,12 @@ def load_checkpoint(path):
         stage1 = _load_group(box, "stage1/", build_model(_base_spec(spec)))
     if info["has_golf"]:
         g = _meta(info.get("golf"), _GOLF_META + ("trained",), "golf meta")
+        _check_golf_meta(g)
         trained = g.pop("trained")
         golf = _build("guidance module",
                       lambda: GolfModule(**g, rng=np.random.default_rng(spec.seed)))
         _load_group(box, "golf/", golf)
-        golf.trained = bool(trained)
+        golf.trained = trained
     if info["has_prn"]:
         kw = _meta(info.get("prn"), _PRN_META, "prn meta")
         prn = _build("refiner", lambda: PrnBlock(
@@ -640,6 +657,19 @@ def _fit(rec, dataset, lr, feats=None):
                        ("validation", validate)), best
 
 
+def _check_weights_finite(rec, stage):
+    """TrainAbortError naming the first non-finite weight of rec's groups.
+    The epoch loop checks losses and gradient norms, but a non-finite weight
+    behind a ReLU can leave all of them finite."""
+    for group in ("model", "stage1", "golf", "prn"):
+        part = getattr(rec, group)
+        for name, p in (() if part is None else part.named_parameters()):
+            if not np.isfinite(p.data).all():
+                raise TrainAbortError(
+                    f"non-finite weight {group}/{name} after {stage}",
+                    diagnostics={"stage": stage, "parameter": f"{group}/{name}"})
+
+
 def _train_loss_increased_early(train_losses):
     head = train_losses[:3]
     return any(b > a for a, b in zip(head, head[1:]))
@@ -683,6 +713,7 @@ def _fit_and_report(spec, dataset, t0, out_dir, feats=None, stage1=None,
         lr_used, retried = spec.lr / 2.0, True
         rec, curves, best = run(lr_used)
     rec.model.load_state_dict(best["state"])
+    _check_weights_finite(rec, "train")
     metrics = evaluate_model(rec, dataset)
     ckpt = None if out_dir is None else save_checkpoint(
         Path(out_dir) / "checkpoint.rtc", rec,
@@ -707,7 +738,8 @@ def train(spec, dataset, out_dir=None, stage1_checkpoint=None):
     module, then a fresh injected model on the frozen features.  Each
     cascade fit is deterministic in spec.seed, halves the learning rate and
     restarts once if the train loss rises during the first three epochs,
-    aborts on non-finite loss and keeps best-validation weights.  A ``prn``
+    aborts on non-finite loss and keeps best-validation weights; a
+    non-finite kept weight aborts before anything is saved.  A ``prn``
     spec then trains the refiner on the cascade, and its report keeps the
     cascade's under ``extra["base"]``.  Only the last stage writes the
     checkpoint to ``out_dir``.
@@ -896,6 +928,7 @@ def train_prn(block, base_rec, dataset, epochs=3, batch=4, seed=0,
     refined_rec = Reconstructor(base_rec.spec, base_rec.model,
                                 stage1=base_rec.stage1, golf=base_rec.golf,
                                 prn=block)
+    _check_weights_finite(refined_rec, "generator")
     base_metrics = evaluate_model(base_rec, dataset)
     refined_metrics = evaluate_model(refined_rec, dataset)
     ckpt = None if out_dir is None else save_checkpoint(

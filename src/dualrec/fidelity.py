@@ -175,7 +175,9 @@ def sens_expand(m, sens):
 # -- tensor-level helpers ------------------------------------------------
 
 def _const_full(arr, shape, dtype):
-    return Tensor(np.broadcast_to(np.asarray(arr, dtype=dtype), shape).copy())
+    """A constant Tensor of ``arr`` broadcast to ``shape``: a read-only view,
+    no full-size copy."""
+    return Tensor(np.broadcast_to(np.asarray(arr, dtype=dtype), shape))
 
 
 def coil_arrays(bsz, hw, *arrays):
@@ -202,12 +204,13 @@ def cmul_const(x, z_const, conj=False):
     xr = np.take(x.data, 0, axis=-3)
     xi = np.take(x.data, 1, axis=-3)
     out = np.stack([xr * a - xi * b, xr * b + xi * a], axis=-3)
+    node, shape = ad._node_of(x), x.shape
 
     def backward(g, flow):
         gr = np.take(g, 0, axis=-3)
         gi = np.take(g, 1, axis=-3)
         gx = np.stack([gr * a + gi * b, -gr * b + gi * a], axis=-3)
-        ad._flow_add(flow, x, ad._reduce_to(gx, x.shape))
+        ad._flow_add(flow, node, ad._reduce_to(gx, shape))
 
     return ad._make(out, (x,), backward)
 

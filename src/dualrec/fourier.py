@@ -183,8 +183,10 @@ def _transform_t(x, sign):
     if x.ndim < 3 or x.shape[-3] != 2:
         raise DimensionError(f"fft ops expect [...,2,H,W], got {x.shape}")
 
+    node = ad._node_of(x)
+
     def backward(g, flow):
-        ad._flow_add(flow, x, _transform_channels(g, -sign))
+        ad._flow_add(flow, node, _transform_channels(g, -sign))
 
     return ad._make(_transform_channels(x.data, sign), (x,), backward)
 

@@ -4,11 +4,17 @@ a change which must keep every bit can be checked with one command.
     python tests/bitcheck.py                        # JSON object: run -> SHA-256
     python tests/bitcheck.py REV                    # the same on git revision REV,
                                                     # then the runs that differ
+    python tests/bitcheck.py REV --acceptance       # and the acceptance lines
 
 With REV, the tree of REV is extracted with ``git archive`` into a temporary
 directory, and this same script runs in a subprocess on that tree's ``src``.
 The runs whose hashes differ are printed, and the exit status is 1 if any
-differ.  The temporary tree is removed however the comparison ends.
+differ.  With ``--acceptance``, ``tests/test_acceptance.py -s`` also runs on
+both trees, each on its own ``src`` and tests, and the twelve "criterion"
+lines it prints are compared with wall times ("53s") masked.  Each line is
+printed; a line that differs, or a missing one, is printed with the other
+tree's and makes the exit status 1.  The temporary tree
+is removed however the comparison ends.
 
 A training run hashes its TrainReport.to_dict() without ``wall_seconds`` and
 ``checkpoint`` (the same for ``extra["base"]`` and the stage-1 report), every
@@ -23,6 +29,8 @@ few seconds.
 import argparse
 import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -190,7 +198,45 @@ def run_tree(tree, names=None):
     return json.loads(done.stdout)
 
 
-def against(rev):
+CRITERIA = 12
+
+
+def criterion_lines(stdout):
+    """The "criterion" lines of an acceptance run's output, without the
+    pytest progress marks that may precede one, wall times masked."""
+    found = (re.match(r"[.FEsx]*(criterion +\d+ \S.*)", line)
+             for line in stdout.splitlines())
+    return [re.sub(r"(?<![\w.])\d+s\b", "<t>s", m.group(1)) for m in found if m]
+
+
+def acceptance_lines(tree):
+    """criterion_lines of ``tests/test_acceptance.py -s`` run on ``tree``."""
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+         "tests/test_acceptance.py"], cwd=tree, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(tree) / "src")), timeout=3600)
+    return criterion_lines(done.stdout)
+
+
+def compare_acceptance(tree, rev):
+    """Print this tree's acceptance lines, with ``tree``'s (git revision
+    ``rev``) beside each that differs; returns how many differ or are
+    missing."""
+    theirs, ours = acceptance_lines(tree), acceptance_lines(REPO)
+    differ = 0
+    for k in range(max(CRITERIA, len(ours), len(theirs))):
+        mine = ours[k] if k < len(ours) else None
+        other = theirs[k] if k < len(theirs) else None
+        if mine is not None and mine == other:
+            print(f"equal: {mine}")
+        else:
+            differ += 1
+            print(f"differs:\n  this tree: {mine or '(missing)'}\n  {rev}: {other or '(missing)'}")
+    print(f"{CRITERIA - differ} of {CRITERIA} criterion lines equal to {rev}")
+    return differ
+
+
+def against(rev, acceptance=False):
     """Compare this tree with git revision ``rev``; returns the exit status."""
     with tempfile.TemporaryDirectory(prefix="bitcheck-rev-") as tree:
         archive = subprocess.run(["git", "-C", str(REPO), "archive", rev],
@@ -199,12 +245,13 @@ def against(rev):
             raise SystemExit(f"git archive {rev} failed: {archive.stderr.decode()}")
         subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout, check=True)
         theirs = run_tree(tree)
-    ours = run_all()
-    differ = [n for n in ours if ours[n] != theirs.get(n)]
-    for n in differ:
-        print(f"differs: {n}")
-    print(f"{len(ours) - len(differ)} of {len(ours)} runs equal to {rev}")
-    return 1 if differ else 0
+        ours = run_all()
+        differ = [n for n in ours if ours[n] != theirs.get(n)]
+        for n in differ:
+            print(f"differs: {n}")
+        print(f"{len(ours) - len(differ)} of {len(ours)} runs equal to {rev}")
+        lines_differ = compare_acceptance(tree, rev) if acceptance else 0
+    return 1 if differ or lines_differ else 0
 
 
 def main(argv=None):
@@ -212,9 +259,13 @@ def main(argv=None):
     parser.add_argument("rev", nargs="?", help="git revision to compare with")
     parser.add_argument("--only", help="comma-separated entries to run")
     parser.add_argument("--src", help="the package tree to import (set at startup)")
+    parser.add_argument("--acceptance", action="store_true",
+                        help="with REV, also compare the acceptance suite's criterion lines")
     args = parser.parse_args(argv)
+    if args.acceptance and args.rev is None:
+        parser.error("--acceptance needs a revision to compare with")
     if args.rev is not None:
-        return against(args.rev)
+        return against(args.rev, args.acceptance)
     names = None if args.only is None else args.only.split(",")
     unknown = sorted(set(names or ()) - set(entries()))
     if unknown:

@@ -1,4 +1,5 @@
-"""Shared oracle helpers and spec strategies for the test suite.
+"""Shared oracle helpers, spec strategies and autodiff graph introspection
+for the test suite.
 
 numpy.fft appears here and only here (plus the per-module test files); the
 package itself never imports it.  The centered orthonormal convention is
@@ -8,6 +9,8 @@ realized with explicit index shifts.
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
+
+from dualrec.autodiff import Tensor
 
 # Every property test in the suite: derandomized, with no example database,
 # and no per-example deadline.  A test that needs more examples says so in its
@@ -103,3 +106,55 @@ def dataset_kind(d):
     if d.get("family") == "vs_rsn":
         return "multi"
     return "paired" if d.get("assists") in ("t1", "t1_golf") else "single"
+
+
+# -- autodiff graph introspection -----------------------------------------
+
+def owner(a):
+    """The array whose buffer a views (a itself if it owns its buffer)."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def graph_of(root):
+    """root, then every node of its graph: op nodes and leaf tensors."""
+    found, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in found:
+            found[id(node)] = node
+            stack.extend(node._parents)
+    return list(found.values())
+
+
+def op_name(node):
+    return node._backward.__qualname__.split(".")[0] if node._backward else None
+
+
+def closure_arrays(node):
+    """The arrays a node's backward closure holds, also inside lists and
+    tuples, and those of the closures it holds (conv2d's ``grads``)."""
+    found, stack = [], [node._backward]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, np.ndarray):
+            found.append(v)
+        elif isinstance(v, (list, tuple)):
+            stack.extend(v)
+        elif callable(v) and getattr(v, "__closure__", None):
+            stack.extend(c.cell_contents for c in v.__closure__)
+    return found
+
+
+def held_owners(root):
+    """{id: buffer} of every distinct buffer a graph keeps alive: the data
+    of its leaves plus the arrays its backward closures hold.  The root's
+    own data is the caller's."""
+    arrays = [a for node in graph_of(root) for a in closure_arrays(node)]
+    arrays += [n.data for n in graph_of(root) if isinstance(n, Tensor) and n is not root]
+    return {id(owner(a)): owner(a) for a in arrays}
+
+
+def held_bytes(root):
+    return sum(a.nbytes for a in held_owners(root).values())

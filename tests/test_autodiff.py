@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import closure_arrays, graph_of, held_bytes, held_owners, op_name, owner
 from dualrec import autodiff as ad
 from dualrec import cascade as cas
 from dualrec.autodiff import (Adam, OptimizerState, Parameter, Tensor,
@@ -352,39 +353,6 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _owner(a):
-    while a.base is not None:
-        a = a.base
-    return a
-
-
-def _nodes(root):
-    found, stack = {}, [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in found:
-            found[id(node)] = node
-            stack.extend(node._parents)
-    return list(found.values())
-
-
-def _op_name(node):
-    return node._backward.__qualname__.split(".")[0] if node._backward else None
-
-
-def _closure_arrays(node):
-    cells = getattr(node._backward, "__closure__", None) or ()
-    return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
-
-
-def _held_bytes(root):
-    """Bytes of every distinct buffer a graph keeps alive: node data plus the
-    arrays its backward closures hold."""
-    owners = {id(_owner(a)): _owner(a).nbytes for node in _nodes(root)
-              for a in [node.data] + _closure_arrays(node)}
-    return sum(owners.values())
-
-
 class TestFusedActivation:
     @given(fused_cases())
     def test_matches_unfused_chain_bitwise(self, case):
@@ -436,16 +404,27 @@ class TestFusedActivation:
         block = DoubleConv(4, 8, rng).astype(np.float32)
         x = Tensor(rng.normal(size=(2, 4, 16, 16)).astype(np.float32))
         target = np.zeros((2, 8, 16, 16), np.float32)
-        fused = mse_loss(block(x), target)
-        ops = {_op_name(n) for n in _nodes(fused)}
-        assert "conv2d" in ops and not {"relu", "leaky_relu"} & ops
-        for node in _nodes(fused):
-            if _op_name(node) == "conv2d":   # its activated output and nothing else
-                assert all(_owner(a) is _owner(node.data) for a in _closure_arrays(node))
         c1, c2 = block.c1, block.c2
+        a1 = c1(x)
+        a2 = c2(a1)
+        fused = mse_loss(a2, target)
+        ops = {op_name(n) for n in graph_of(fused)}
+        assert "conv2d" in ops and not {"relu", "leaky_relu"} & ops
+        # each conv keeps its input, its weight and its activated output
+        for out, inp, conv in ((a1, x, c1), (a2, a1, c2)):
+            assert {id(owner(a)) for a in closure_arrays(out)} == {
+                id(owner(inp.data)), id(conv.w.data), id(owner(out.data))}
+        # the whole graph: those, the loss's difference and the parameters
+        held = held_owners(fused)
+        diff = [a for a in held.values() if a.shape == a2.shape
+                and a is not owner(a1.data) and a is not owner(a2.data)]
+        assert len(diff) == 1
+        assert set(held) == {id(owner(a)) for a in [x.data, a1.data, a2.data, diff[0]]
+                             + [p.data for p in block.parameters()]}
         pre = ad.conv2d(x, c1.w, c1.b, padding=1)
         unfused = mse_loss(ad.relu(ad.conv2d(ad.relu(pre), c2.w, c2.b, padding=1)), target)
-        assert _held_bytes(unfused) - _held_bytes(fused) >= pre.data.nbytes
+        assert id(owner(pre.data)) not in held_owners(unfused)
+        assert held_bytes(fused) <= held_bytes(unfused)
         fused.backward()
         want = [p.grad.copy() for p in block.parameters()]
         block.zero_grad()
@@ -455,7 +434,7 @@ class TestFusedActivation:
     def test_maxpool_keeps_nothing_input_sized(self):
         x = Parameter(np.random.default_rng(6).normal(size=(2, 3, 8, 8)))
         y = ad.maxpool2x2(x)
-        held = _closure_arrays(y)
+        held = closure_arrays(y)
         assert held and all(a.dtype == np.uint8 for a in held)
         assert sum(a.nbytes for a in held) < x.data.nbytes // 8
 
@@ -887,7 +866,7 @@ class TestGraphSemantics:
         gc.disable()
         try:
             loss = mse_loss(model(us_image, us_k, mask), np.zeros((2, 2, 32, 32)))
-            refs = [weakref.ref(n) for n in _nodes(loss) if n._parents and n is not loss]
+            refs = [weakref.ref(n) for n in graph_of(loss) if n._parents and n is not loss]
             assert len(refs) > 50
             loss.backward()
             assert [r for r in refs if r() is not None] == []
@@ -895,6 +874,76 @@ class TestGraphSemantics:
         finally:
             gc.enable()
         assert all(p.grad is not None for p in model.parameters())
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul", "concat"])
+    @pytest.mark.parametrize("const_first", [False, True])
+    def test_no_gradient_is_routed_to_a_constant(self, op, const_first, monkeypatch):
+        rng = np.random.default_rng(15)
+        x = Parameter(rng.normal(size=(3, 3)))
+        c = Tensor(rng.uniform(1.0, 2.0, size=(3, 3)))
+        fn = (lambda a, b: ad.concat([a, b], axis=0)) if op == "concat" else getattr(ad, op)
+        out = fn(*((c, x) if const_first else (x, c)))
+        assert out._parents == (x,)
+        routed, flow_add = [], ad._flow_add
+        monkeypatch.setattr(ad, "_flow_add", lambda flow, node, g:
+                            routed.append(node) or flow_add(flow, node, g))
+        ad.sum_all(out).backward()
+        assert any(n is x for n in routed) and not any(n is c for n in routed)
+        assert x.grad is not None and c.grad is None
+
+    def test_each_closure_keeps_what_its_gradient_reads(self):
+        rng = np.random.default_rng(16)
+        x = Parameter(rng.uniform(1.0, 2.0, size=(2, 2, 4, 4)))
+        y = Parameter(rng.uniform(1.0, 2.0, size=(2, 2, 4, 4)))
+        c = Tensor(rng.uniform(1.0, 2.0, size=(2, 2, 4, 4)))
+        m, w = Parameter(rng.normal(size=(4, 4))), Parameter(rng.normal(size=(3, 2, 2, 2)))
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+
+        def own(*arrays):
+            return {id(owner(a)) for a in arrays}
+
+        cases = [
+            (ad.mul(x, c), lambda o: own(c.data)), (ad.mul(c, x), lambda o: own(c.data)),
+            (ad.mul(x, y), lambda o: own(x.data, y.data)),
+            (ad.div(x, c), lambda o: own(c.data)), (ad.div(c, x), lambda o: own(c.data, x.data)),
+            (ad.matmul(m, m), lambda o: own(m.data)),
+            (ad.matmul(x, c[0, 0]), lambda o: own(c.data)),
+            (ad.square(x), lambda o: own(x.data)), (ad.log(x), lambda o: own(x.data)),
+            (ad.exp(x), lambda o: own(o.data)), (ad.sqrt(x), lambda o: own(o.data)),
+            (ad.leaky_relu(x), lambda o: own(o.data)),
+            (ad.conv_transpose2d(x, w), lambda o: own(x.data, w.data)),
+            (ad.add(x, c), lambda o: set()), (ad.sub(c, x), lambda o: set()),
+            (ad.neg(x), lambda o: set()), (ad.reshape(x, (4, 16)), lambda o: set()),
+            (ad.transpose(x, (1, 0, 2, 3)), lambda o: set()), (x[0], lambda o: set()),
+            (ad.concat([x, c], axis=1), lambda o: set()),
+            (ad.repeat_axis(x[:, :1], 2, axis=1), lambda o: set()),
+            (ad.sum_all(x), lambda o: set()), (ad.mean_all(x), lambda o: set()),
+            (ad.sum_axes(x, (1,)), lambda o: set()), (ad.mean_axes(x, (2, 3)), lambda o: set()),
+            (fft2_t(x), lambda o: set()), (ifft2_t(x), lambda o: set()),
+        ]
+        for out, want in cases:
+            assert own(*closure_arrays(out)) == want(out), op_name(out)
+        # the constant's real and imaginary parts, and no coil-sized value
+        held = closure_arrays(cmul_const(x, z))
+        assert held and all(a.shape == z.shape for a in held)
+
+    def test_unread_value_is_freed_while_its_graph_lives(self):
+        rng = np.random.default_rng(17)
+        x = Parameter(rng.normal(size=(4, 4)))
+        y = ad.add(x, x)
+        unread = weakref.ref(y.data)
+        loss = ad.sum_all(ad.mul(y, Tensor(np.full((4, 4), 3.0))))
+        del y
+        assert unread() is None and loss._parents
+        y = ad.add(x, x)
+        read = weakref.ref(y.data)
+        loss2 = ad.sum_all(ad.square(y))
+        del y
+        assert read() is not None       # square's backward reads it
+        loss2.backward()
+        assert read() is None
+        loss.backward()
+        assert np.array_equal(x.grad, np.full((4, 4), 6.0) + 8.0 * x.data)
 
     def test_relu_backward_matches_fd_away_from_kink(self):
         rng = np.random.default_rng(7)
@@ -1045,14 +1094,20 @@ class TestFloat32:
 
     @pytest.mark.parametrize("name", sorted(_graph_ops(np.random.default_rng(0))))
     def test_op_stays_float32(self, name, monkeypatch):
+        built, make = {}, ad._make
+
+        def spy(data, parents, backward):   # the dtype each op node was built with
+            out = make(data, parents, backward)
+            built[id(out._node)] = out.dtype
+            return out
+
+        monkeypatch.setattr(ad, "_make", spy)
         out = _graph_ops(np.random.default_rng(0), np.float32)[name]
-        nodes, stack = {}, [out]
-        while stack:
-            node = stack.pop()
-            if id(node) not in nodes:
-                nodes[id(node)] = node
-                stack.extend(node._parents)
-        assert all(n.dtype == np.float32 for n in nodes.values())
+        nodes = {id(n): n for n in graph_of(out)}
+        assert all((n.dtype if isinstance(n, Tensor) else built[i]) == np.float32
+                   for i, n in nodes.items())
+        held = [a for n in nodes.values() for a in closure_arrays(n)]
+        assert all(a.dtype == np.float32 for a in held if a.dtype.kind in "fc")
         routed = []
         flow_add = ad._flow_add
         monkeypatch.setattr(ad, "_flow_add", lambda flow, node, g:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import TINY_SPEC, dataset_kind, spec_dicts
+from dualrec import autodiff as ad
 from dualrec import cascade as cas
 from dualrec.cli import main
 from dualrec.phantoms import RtcContainer, load_dataset, make_dataset
@@ -70,6 +71,20 @@ def fu_dir(tmp_path_factory):
     spec = cas.CascadeSpec.from_dict(spec_dict(mode="fu_with_us"))
     rec = cas.Reconstructor(spec, cas.build_model(spec, np.random.default_rng(0)))
     out = tmp_path_factory.mktemp("clifu")
+    cas.save_checkpoint(out / "checkpoint.rtc", rec)
+    return out
+
+
+@pytest.fixture(scope="module")
+def golf_dir(tmp_path_factory):
+    """A directory holding an untrained golf checkpoint that fits ds_dir, its
+    guidance module marked trained so that reconstruct runs it."""
+    spec = cas.CascadeSpec.from_dict(spec_dict(assists="golf"))
+    golf = cas._golf_module(spec)
+    golf.trained = True
+    rec = cas.Reconstructor(spec, cas.build_model(spec, np.random.default_rng(0)),
+                            stage1=cas.build_model(cas._base_spec(spec)), golf=golf)
+    out = tmp_path_factory.mktemp("cligolf")
     cas.save_checkpoint(out / "checkpoint.rtc", rec)
     return out
 
@@ -332,6 +347,26 @@ class TestTrainCmd:
         assert diag["diagnostics"]["stage"] == "golf_validation"
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_non_finite_kept_weight_exits_3_and_saves_nothing(self, ds_dir, tmp_path,
+                                                              capsys, monkeypatch):
+        # -inf in the bias of the KI refinement's ReLU conv: that channel is 0
+        # after the ReLU, so loss, gradient norm and validation stay finite
+        name, step = "block0.ki.refine1.b", ad.adam_step
+
+        def poisoned(param, state, *args, **kwargs):
+            step(param, state, *args, **kwargs)
+            if param.name == name:
+                param.data[0] = -np.inf
+
+        monkeypatch.setattr(ad, "adam_step", poisoned)
+        cfg = write_config(tmp_path / "cfg.json", spec_dict(), ds_dir, tmp_path / "out")
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert f"non-finite weight model/{name}" in capsys.readouterr().err
+        diag = strict_json(tmp_path / "out" / "diagnostics.json")
+        assert diag["diagnostics"] == {"stage": "train", "parameter": f"model/{name}"}
+        assert not (tmp_path / "out" / "checkpoint.rtc").exists()
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_refiner_config_attaches_refiner(self, ds_dir, tmp_path):
         spec = spec_dict(epochs=1,
                          prn={"hidden": 8, "critic_base": 4, "w_dist": 0.5,
@@ -445,6 +480,29 @@ class TestReconstructCmd:
                      str(ds_dir), "--out", str(tmp_path / "out")]) == 2
         assert f"entry {entry} is not finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        (None, None), ("eps", float("nan")), ("eps", "x"), ("eps", -1.0),
+        ("eps", float("inf")), ("feature_depth", 0), ("base", 2.5), ("depth", True),
+        ("trained", 1)], ids=["valid", "eps_nan", "eps_str", "eps_neg", "eps_inf",
+                              "feature_depth_0", "base_float", "depth_bool", "trained_int"])
+    def test_golf_meta_is_checked(self, golf_dir, ds_dir, tmp_path, capsys, key, value):
+        box = RtcContainer.read(golf_dir / "checkpoint.rtc")
+        info = box.get_json("meta")
+        if key is not None:
+            info["golf"][key] = value
+        del box.entries["meta"]
+        box.add_json("meta", info)
+        bad = tmp_path / "golf.rtc"
+        box.write(bad)
+        code = main(["reconstruct", "--checkpoint", str(bad), "--dataset", str(ds_dir),
+                     "--out", str(tmp_path / "out")])
+        if key is None:
+            assert code == 0
+        else:
+            assert code == 2
+            assert f"golf meta {key} must be" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_check_without_outputs_is_usage_error(self, run_dir, ds_dir,
                                                   tmp_path):

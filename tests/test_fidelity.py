@@ -2,13 +2,14 @@
 oracles, spectrum-preservation invariants, and graph-version parity."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import oracle_fft2, oracle_ifft2, random_complex
+from conftest import held_bytes, oracle_fft2, oracle_ifft2, random_complex
 from dualrec import autodiff as ad
 from dualrec import fidelity as fid
 from dualrec import masks as mk
@@ -418,3 +419,67 @@ class TestGraphVersions:
 
         report = ad.grad_check(loss, {"x": x}, tolerance=1e-5)
         assert report.passed, report
+
+
+class TestGraphMemory:
+    """A graph keeps the arrays its backward formulas read, not the values
+    it passes through."""
+
+    def test_unread_fft_output_is_freed_before_backward(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        mask, us_k = _mask(16, 16, 6), random_complex(rng, (16, 16))
+        x0 = rng.normal(size=(2, 2, 16, 16))
+        seen, fft2_t = [], fid.fft2_t
+
+        def spy(t):
+            out = fft2_t(t)
+            seen.extend([weakref.ref(out), weakref.ref(out.data)])
+            return out
+
+        monkeypatch.setattr(fid, "fft2_t", spy)
+        x = ad.Parameter(x0.copy())
+        rec = fid.df_single_t(x, us_k, mask)
+        # the spectrum only feeds a multiply by the constant mask, whose
+        # gradient reads the mask: it is gone while the graph lives
+        assert len(seen) == 2 and all(r() is None for r in seen)
+        assert rec._parents
+        ad.sum_all(ad.square(rec)).backward()
+        monkeypatch.undo()
+        ref = ad.Parameter(x0.copy())
+        ad.sum_all(ad.square(fid.df_single_t(ref, us_k, mask))).backward()
+        assert np.array_equal(x.grad, ref.grad)
+
+    @pytest.mark.parametrize("lam", [math.inf, 3.0])
+    def test_coil_graph_holds_only_what_backward_reads(self, lam):
+        rng = np.random.default_rng(13)
+        n_c, h, w = 8, 32, 32
+        sens = _sens(rng, n_c, h, w).stacked()
+        mask = _mask(h, w, 7)
+        y = random_complex(rng, (1, n_c, h, w))
+        m = ad.Parameter(rng.normal(size=(1, 2, h, w)))
+        la, lb = ad.Parameter(np.asarray(0.1)), ad.Parameter(np.asarray(-0.2))
+        alpha_t, beta_t = ad.exp(la), ad.exp(lb)
+        xs = fid.vs_x_update_t(m, sens, mask, y, lam, alpha_t)
+        loss = ad.sum_all(fid.wab_t(m, xs, sens, alpha_t, beta_t))
+        del xs, alpha_t, beta_t
+        coil = 2 * n_c * h * w * 8      # one [1,n_c,2,H,W] float64 value
+        image = 2 * h * w * 8           # one [1,2,H,W] float64 value
+        # the maps (the real and imaginary parts cmul_const multiplies by),
+        # the negated imaginary part of the conjugate multiply, the mask, the
+        # coil sum of |S|^2, and m, the coil sum, numerator and denominator
+        # the WAB's products and quotient read
+        read = sens.nbytes + coil // 2 + image // 2 + image // 2 + 4 * image
+        if not math.isinf(lam):
+            # the sampled spectrum times the mask and the blend: d/d alpha
+            # reads both, and the sampled-entry mask
+            read += 2 * coil + image // 2
+        assert held_bytes(loss) <= read + 1024      # plus 0-d scalars
+
+    def test_const_full_is_a_read_only_view(self):
+        base = np.arange(16.0).reshape(4, 4)
+        t = fid._const_full(base, (2, 3, 4, 4), np.float64)
+        assert t.shape == (2, 3, 4, 4) and np.array_equal(t.data[1, 2], base)
+        assert np.shares_memory(t.data, base)      # no full-size copy
+        with pytest.raises(ValueError, match="read-only"):
+            t.data[0, 0, 0, 0] = 1.0
+

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_fft2, oracle_ifft2, random_complex
+from conftest import (closure_arrays, graph_of, op_name, oracle_fft2, oracle_ifft2,
+                      random_complex)
 from dualrec import autodiff as ad
 from dualrec import networks as nw
 from dualrec.autodiff import Tensor
@@ -170,20 +171,6 @@ def _small_block(mode, **kw):
                        fu_hidden=16, rng=np.random.default_rng(9), **kw)
 
 
-def _graph(root):
-    found, stack = {}, [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in found:
-            found[id(node)] = node
-            stack.extend(node._parents)
-    return list(found.values())
-
-
-def _op(node):
-    return node._backward.__qualname__.split(".")[0] if node._backward else None
-
-
 class TestRsnBlock:
     @pytest.mark.parametrize("mode", nw.RSN_MODES)
     def test_shapes_and_zero_filled_start(self, mode):
@@ -264,17 +251,22 @@ class TestRsnBlock:
         gen = np.random.default_rng(4)
         us_img, us_k, t1 = (Tensor(gen.normal(size=(2, 2, 16, 16)).astype(np.float32))
                             for _ in range(3))
-        ops = {}
+        ops, nodes = {}, {}
         for root, name in ((ad.mean_all(block(us_img, us_k, t1=t1)), "block"),
                            (ad.mean_all(block.ii(us_img)), "unet")):
-            ops[name] = [(_op(n), [_op(p) for p in n._parents]) for n in _graph(root)]
+            nodes[name] = graph_of(root)
+            ops[name] = [(op_name(n), [op_name(p) for p in n._parents]) for n in nodes[name]]
         assert not any(op == "concat" for op, _ in ops["unet"])
         assert sum(op == "concat" for op, _ in ops["block"]) == 1
         assert sum(op == "conv2d" and "concat" in parents
                    for op, parents in ops["block"]) == 1
-        # the Fu net's first conv reads KI, II, the input and T1, then w and b
-        assert ["add", "add", None, None, None, None] in [
-            parents for op, parents in ops["block"] if op == "conv2d"]
+        # the Fu net's first conv has KI and II, then w and b, as parents; the
+        # input and T1 are constants, which it reads in place
+        fu_in = [n for n, (op, parents) in zip(nodes["block"], ops["block"])
+                 if op == "conv2d" and parents == ["add", "add", None, None]]
+        assert len(fu_in) == 1
+        held = closure_arrays(fu_in[0])
+        assert any(a is us_img.data for a in held) and any(a is t1.data for a in held)
 
     def test_gradients_match_finite_differences(self):
         block = _small_block("fu_with_us", t1_assist=True)
