@@ -54,14 +54,30 @@ What each closure keeps:
 * ``mul``, ``div``, ``matmul``: the other operand's array, and only when
   this operand needs a gradient (``div`` also keeps its denominator);
 * ``conv2d``: its input's arrays (each ``ChannelStack`` part) and, with a
-  slope, its activated output; a strided one (the critic) keeps its im2col
-  patch matrix, kh*kw times its input, instead of the input;
+  slope, its activated output unless it is thin (below); a strided one (the
+  critic) keeps its im2col patch matrix, kh*kw times its input, instead of
+  the input;
 * ``conv_transpose2d``/``upconv2x2``: its input;
 * ``square``, ``log``: their input; ``exp``, ``sqrt``, ``leaky_relu``: their
   output; ``maxpool2x2``: its uint8 argmax indices;
 * ``add``, ``sub``, ``neg``, ``reshape``, ``transpose``, ``concat``,
   ``getitem``, ``repeat_axis``, the sums and means, ``fourier.fft2_t``/
   ``ifft2_t`` and ``fidelity.cmul_const``: shapes and constants only.
+
+A thin conv is a stride-1 activated conv whose input has at most a quarter
+of its output's channels (4*C <= F).  Each sub-network opens with one: the
+KI refinement head (2->16), the UNets (2->16, 1->16 in the guidance
+module), the Fu net (6->32, 8->32 with T1) and the PRN refiner (2->32).  It
+keeps no output.  Its node carries a ``_Remat`` instead, and a stride-1
+conv that reads the output, as a ``ChannelStack`` part too, keeps that
+rather than the array, so the output is freed with the caller's Tensor
+unless another op's closure keeps it.  The first closure that reads it in
+backward takes the array if it is still alive, else recomputes it once,
+through the forward's own ``_conv_s1_forward`` and ``_conv_output``, so the
+bits are the same; the thin conv's node holds it until the conv's own
+closure has run.  The conv keeps its input for its weight gradient anyway,
+so the recompute costs only its small forward.  Under ``no_grad`` there is
+no node and no such state.
 
 A stride-1 ``conv2d`` (every convolution of the reconstruction networks)
 works one sample at a time in forward and both gradients: kh*kw shifted
@@ -86,6 +102,7 @@ when an exception escapes the block.
 """
 
 import contextlib
+import weakref
 
 import numpy as np
 
@@ -209,7 +226,7 @@ class Tensor:
             if node._backward is not None:
                 if g is not None:
                     node._backward(g, flow)
-                node._parents, node._backward = (), _spent
+                node._parents, node._backward, node.remat = (), _spent, None
             flow.spare = None
 
     # -- operator sugar -------------------------------------------------
@@ -266,14 +283,17 @@ class Parameter(Tensor):
 class _Node:
     """The graph identity of an op output: its parents' nodes and the closure
     that routes its gradient to them.  It holds no data; the closure holds
-    the arrays its gradient formula reads, and nothing else."""
+    the arrays its gradient formula reads, and nothing else.  ``remat`` is
+    the ``_Remat`` of a thin conv's output until the walk passes the node,
+    else None."""
 
-    __slots__ = ("_parents", "_backward", "__weakref__")
+    __slots__ = ("_parents", "_backward", "remat", "__weakref__")
     requires_grad = False
 
     def __init__(self, parents, backward):
         self._parents = parents
         self._backward = backward
+        self.remat = None
 
 
 def _node_of(t):
@@ -760,10 +780,11 @@ def _conv_s1_backward(g, xs, w, padding, y, slope, need_dx, need_db, spare):
     sample's gradient is first multiplied by the activation derivative read
     from the output y, and if need_db its sum over the image is added to the
     bias gradient db.  dx, over the whole stack, is None unless need_dx; db
-    is None unless slope and need_db.  Each sample's dx is summed in one
-    padded buffer dxf, laid out like xf and zeroed per sample.  It and its
-    GEMM scratch are made once per call, after the first sample's masked
-    gradient is freed.  With a batch of one, dx is a view of dxf.
+    is None unless slope and need_db.  Each sample's dx is summed in the
+    padded input buffer xf itself, zeroed once the weight-gradient GEMMs have
+    read the sample and zeroed again before the next sample is padded into
+    it.  The dx GEMM scratch is made once per call, after the first sample's
+    masked gradient is freed.  With a batch of one, dx is a view of xf.
 
     ``spare`` says the backward walk alone holds g.  Then, with a slope and a
     C-contiguous g, each sample is masked in place in g rather than copied,
@@ -784,8 +805,10 @@ def _conv_s1_backward(g, xs, w, padding, y, slope, need_dx, need_db, spare):
     if need_dx and bsz > 1:
         reuse = in_place and g.shape == (bsz, c, h, wd) and g.dtype == dtype
         dx = g if reuse else np.empty((bsz, c, h, wd), dtype=dtype)
-    dxf = tmp = None
+    tmp = None
     for i in range(bsz):
+        if need_dx and i:   # xf holds the last sample's dx
+            xf[...] = 0
         _pad_sample(xf, xs, i, hp, wp, padding)
         gi = g[i]
         if slope is not None:
@@ -793,18 +816,18 @@ def _conv_s1_backward(g, xs, w, padding, y, slope, need_dx, need_db, spare):
             if db is not None:
                 db += gi.sum(axis=(1, 2))
         _window(gf, ho, wp, 0, ho, wo)[...] = gi
-        del gi      # the first masked copy is freed before dxf is made
+        del gi      # the first masked copy is freed before tmp is made
         for u, v in np.ndindex(kh, kw):
             s = u * wp + v
             np.matmul(gf, xf[:, s:s + n].T, out=dw_taps[u, v, i])
         if need_dx:
-            if dxf is None:
-                dxf, tmp = np.empty_like(xf), np.empty((c, n), dtype=g.dtype)
-            dxf[...] = 0
+            if tmp is None:
+                tmp = np.empty((c, n), dtype=g.dtype)
+            xf[...] = 0     # the sample is read: sum its dx here
             for u, v in np.ndindex(kh, kw):
                 s = u * wp + v
-                dxf[:, s:s + n] += np.matmul(w[:, :, u, v].T, gf, out=tmp)
-            dxi = _window(dxf, hp, wp, padding, h, wd)
+                xf[:, s:s + n] += np.matmul(w[:, :, u, v].T, gf, out=tmp)
+            dxi = _window(xf, hp, wp, padding, h, wd)
             if bsz == 1:    # a view of the padded buffer, as no copy is needed
                 dx = dxi[None]
             else:       # g[i], when dx is g, has been read by now
@@ -813,6 +836,52 @@ def _conv_s1_backward(g, xs, w, padding, y, slope, need_dx, need_db, spare):
     for u, v in np.ndindex(kh, kw):     # each tap summed over the batch at once
         dw[:, :, u, v] = dw_taps[u, v].sum(axis=0)
     return dx, dw, db
+
+
+def _conv_output(y, b, slope):
+    """A conv's output from its raw correlation y: the bias add, or else a
+    contiguous copy, then the activation in place."""
+    y = y + b.reshape(1, -1, 1, 1) if b is not None else np.ascontiguousarray(y)
+    return y if slope is None else _activate(y, slope)
+
+
+class _Remat:
+    """The activated output of a thin stride-1 conv, which no closure
+    keeps.  The first ``output()`` takes the array if anything still holds
+    it, else recomputes it once from what the conv's closure keeps of its
+    inputs (``held``) and its weights and bias, through the forward's own
+    ``_conv_s1_forward`` and ``_conv_output``.  ``value`` holds it from then
+    until the conv's own closure has read it."""
+
+    __slots__ = ("ref", "value", "held", "w", "b", "padding", "slope")
+
+    def __init__(self, y, held, w, b, padding, slope):
+        self.ref, self.value = weakref.ref(y), None
+        self.held, self.w, self.b, self.padding, self.slope = held, w, b, padding, slope
+
+    def output(self):
+        if self.value is None:
+            y = self.ref()
+            if y is None:
+                y = _conv_output(_conv_s1_forward(_held_arrays(self.held), self.w,
+                                                  self.padding), self.b, self.slope)
+            self.value = y
+        return self.value
+
+
+def _kept_input(p):
+    """What a stride-1 conv keeps of its input part p for backward: the
+    _Remat of p when p is the unwalked output of a thin conv, else p's
+    array."""
+    remat = getattr(_node_of(p), "remat", None)
+    if remat is not None and remat.ref() is p.data:
+        return remat
+    return p.data
+
+
+def _held_arrays(held):
+    """The input arrays of what _kept_input kept."""
+    return [h.output() if isinstance(h, _Remat) else h for h in held]
 
 
 def _im2col(x, kh, kw, stride, padding):
@@ -865,7 +934,12 @@ def conv2d(x, w, b=None, stride=1, padding=0, slope=None):
     """2-d cross-correlation.  x:[B,C,H,W], or for stride 1 a ChannelStack,
     w:[F,C,kh,kw] with odd kh,kw, b:[F] or None.  Output [B,F,Ho,Wo].
     ``slope`` is the activation after the bias add: None is linear, 0 is
-    ReLU, 0 < slope < 1 is LeakyReLU."""
+    ReLU, 0 < slope < 1 is LeakyReLU.
+
+    A thin conv, stride 1 with a slope and 4*C <= F, keeps no output: its
+    node carries a ``_Remat`` instead, and a stride-1 conv that reads the
+    output captures that rather than the array, so the output is freed with
+    the caller's Tensor and recomputed once in backward."""
     if isinstance(x, ChannelStack):
         if stride != 1:
             raise ParameterError(f"a ChannelStack input needs stride 1, got {stride}")
@@ -888,38 +962,42 @@ def conv2d(x, w, b=None, stride=1, padding=0, slope=None):
         if b.shape != (f,):
             raise DimensionError(f"conv2d bias shape {b.shape} != ({f},)")
 
-    wd = w.data
+    wd, bd = w.data, None if b is None else b.data
     if stride == 1:
-        xs = [p.data for p in parts]
-        y = _conv_s1_forward(xs, wd, padding)
+        y = _conv_output(_conv_s1_forward([p.data for p in parts], wd, padding), bd, slope)
+        held = [_kept_input(p) for p in parts]
 
-        def grads(g, s, need_dx, spare):
-            return _conv_s1_backward(g, xs, wd, padding, kept, s, need_dx,
+        def grads(g, s, need_dx, spare, out):
+            return _conv_s1_backward(g, _held_arrays(held), wd, padding, out, s, need_dx,
                                      nb is not None, spare)
     else:
         x_shape = x.shape
         cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
-        y = np.matmul(wd.reshape(f, -1), cols).reshape(x_shape[0], f, ho, wo)
+        y = _conv_output(np.matmul(wd.reshape(f, -1), cols).reshape(x_shape[0], f, ho, wo),
+                         bd, slope)
 
-        def grads(g, s, need_dx, spare):
+        def grads(g, s, need_dx, spare, out):
             dx = _conv_dx_raw(g, wd, x_shape, stride, padding, ho, wo) if need_dx else None
             return dx, _conv_dw_raw(g, cols, wd.shape, ho, wo), None
-    y = y + b.data.reshape(1, f, 1, 1) if b is not None else np.ascontiguousarray(y)
-    kept = None
-    if slope is not None:   # backward reads the derivative from the output
-        kept = _activate(y, slope)
+    thin = stride == 1 and slope is not None and 4 * c <= f
+    # backward reads the activation derivative from the output, or from a
+    # thin conv's _Remat, set below once the output has a node
+    kept = y if slope is not None and not thin else None
     routes = [(_node_of(p), p.shape[1]) for p in parts]
     nw = _node_of(w)
     nb = None if b is None else _node_of(b)
 
     def backward(g, flow):
-        s = slope
+        s, out = slope, kept
+        if isinstance(out, _Remat):
+            out, kept.value = out.output(), None
         if s is not None and (stride != 1 or f == 1):
             # the whole masked gradient: numpy sums a one-filter bias gradient
             # in one pairwise pass over the batch, unlike a per-sample total
-            g, s = g * act_derivative(kept, s), None
+            g, s = g * act_derivative(out, s), None
         need_dx = any(n is not None for n, _ in routes)
-        dx, dw, db = grads(g, s, need_dx, getattr(flow, "spare", None) is g)
+        dx, dw, db = grads(g, s, need_dx, getattr(flow, "spare", None) is g, out)
+        del out
         if nw is not None:
             _flow_add(flow, nw, dw)
         if dx is not None:
@@ -932,7 +1010,10 @@ def conv2d(x, w, b=None, stride=1, padding=0, slope=None):
             _flow_add(flow, nb, g.sum(axis=(0, 2, 3)) if db is None else db)
 
     parents = parts + ((w,) if b is None else (w, b))
-    return _make(y, parents, backward)
+    result = _make(y, parents, backward)
+    if thin and result._node is not None:
+        kept = result._node.remat = _Remat(y, held, wd, bd, padding, slope)
+    return result
 
 
 def conv_transpose2d(x, w, b=None, stride=1, padding=0, output_size=None):

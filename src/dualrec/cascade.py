@@ -258,6 +258,7 @@ class VsRsn(Module):
         m0 = np.sum(np.conj(s) * ifft2c(np.where(mask.bits, y, 0.0)), axis=1)
         m = Tensor(complex_to_channels_array(m0).astype(y.real.dtype, copy=False))
         for block, fw in zip(self._blocks, self._weights):
+            x = None    # the last block's coil images are read: free them
             u = block(m, fft2_t(m))
             a_t, b_t = fw.alpha_t(), fw.beta_t()
             x = vs_x_update_t(m, s, mask, y, self.lam, a_t)
@@ -461,25 +462,46 @@ def _meta(d, keys, what="meta"):
     return {k: d[k] for k in keys}
 
 
+def _check_widths(d, keys, what):
+    """StateError unless each d[key] is a positive int."""
+    for k in keys:
+        v = d[k]
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
+            raise StateError(f"checkpoint {what} {k} must be a positive int, got {v!r}")
+
+
+def _real_in(v, lo, hi):
+    """Whether v is a real, not a bool, with lo < v < hi."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and lo < v < hi
+
+
 def _check_golf_meta(g):
     """StateError unless the golf meta's widths are positive ints, its eps a
     positive finite real and its trained flag a bool."""
-    for k in ("feature_depth", "base", "depth"):
-        v = g[k]
-        if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
-            raise StateError(f"checkpoint golf meta {k} must be a positive int, got {v!r}")
-    eps = g["eps"]
-    if not isinstance(eps, numbers.Real) or isinstance(eps, bool) or not 0 < eps < math.inf:
+    _check_widths(g, ("feature_depth", "base", "depth"), "golf meta")
+    if not _real_in(g["eps"], 0, math.inf):
         raise StateError(f"checkpoint golf meta eps must be a positive finite real, "
-                         f"got {eps!r}")
+                         f"got {g['eps']!r}")
     if not isinstance(g["trained"], bool):
         raise StateError(f"checkpoint golf meta trained must be a bool, got {g['trained']!r}")
 
 
+def _check_prn_meta(p):
+    """StateError unless the prn meta's widths are positive ints and its loss
+    weights reals with finite w_adv > w_dist > 0, as PrnBlock needs."""
+    _check_widths(p, ("channels", "hidden", "critic_base"), "prn meta")
+    if not _real_in(p["w_dist"], 0, math.inf):
+        raise StateError(f"checkpoint prn meta w_dist must be a positive finite real, "
+                         f"got {p['w_dist']!r}")
+    if not _real_in(p["w_adv"], p["w_dist"], math.inf):
+        raise StateError(f"checkpoint prn meta w_adv must be a finite real above "
+                         f"w_dist {p['w_dist']!r}, got {p['w_adv']!r}")
+
+
 def load_checkpoint(path):
     """Rebuild the full Reconstructor saved by save_checkpoint.  A missing
-    checkpoint, a non-finite weight in it, or golf meta of the wrong type or
-    range raises StateError."""
+    checkpoint, a non-finite weight in it, or golf or prn meta of the wrong
+    type or range raises StateError."""
     path = Path(path)
     if not path.exists():
         raise StateError(f"checkpoint {path} does not exist")
@@ -503,6 +525,7 @@ def load_checkpoint(path):
         golf.trained = trained
     if info["has_prn"]:
         kw = _meta(info.get("prn"), _PRN_META, "prn meta")
+        _check_prn_meta(kw)
         prn = _build("refiner", lambda: PrnBlock(
             **kw, rng=np.random.default_rng(spec.seed)))
         _load_group(box, "prn/", prn)

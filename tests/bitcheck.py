@@ -54,6 +54,8 @@ BASE_SPEC = dict(family="dc_rsn", n_b=1, mode="fu_with_us", size=32, ki_hidden=2
                  ii_base=2, ii_depth=1, fu_hidden=4, golf_feature_depth=2,
                  golf_base=2, golf_depth=1, seed=0, epochs=3, batch=4, lr=1e-3)
 
+_THIN = dict(ki_hidden=8, ii_base=8, fu_hidden=24)
+
 # name -> (dataset kind, spec fields over BASE_SPEC); every "retry_" run halves
 # its learning rate once, and "golf_stage1_checkpoint" first trains its base
 # model to a checkpoint
@@ -71,6 +73,15 @@ RUNS = {
                                           "critic_steps": 2, "epochs": 2})),
     "dc_rsn_mean": ("single", dict(mode="mean")),
     "vs_rsn_mean": ("multi", dict(family="vs_rsn", mode="mean", lam=3.0)),
+    # widths at which a first conv is thin (4*C <= F), so its output is
+    # recomputed in backward: KI 2->8, II 2->8, Fu 6->24 (8->32 with T1),
+    # the guidance UNet 1->4 and the refiner 2->8
+    "thin_dc_rsn": ("single", _THIN),
+    "thin_vs_rsn": ("multi", dict(_THIN, family="vs_rsn", lam=3.0, batch=2)),
+    "thin_t1": ("paired", dict(_THIN, assists="t1", fu_hidden=32)),
+    "thin_golf": ("single", dict(_THIN, assists="golf", golf_base=4)),
+    "thin_prn": ("single", dict(_THIN, epochs=2, prn={"hidden": 8, "critic_base": 2,
+                                                      "critic_steps": 2, "epochs": 2})),
 }
 
 # kind -> make_dataset arguments after kind, n and size

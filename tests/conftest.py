@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from dualrec.autodiff import Tensor
+from dualrec.autodiff import Tensor, _Remat
 
 # Every property test in the suite: derandomized, with no example database,
 # and no per-example deadline.  A test that needs more examples says so in its
@@ -134,7 +134,8 @@ def op_name(node):
 
 def closure_arrays(node):
     """The arrays a node's backward closure holds, also inside lists and
-    tuples, and those of the closures it holds (conv2d's ``grads``)."""
+    tuples, those of the closures it holds (conv2d's ``grads``) and those a
+    thin conv's ``_Remat`` holds strongly."""
     found, stack = [], [node._backward]
     while stack:
         v = stack.pop()
@@ -142,6 +143,8 @@ def closure_arrays(node):
             found.append(v)
         elif isinstance(v, (list, tuple)):
             stack.extend(v)
+        elif isinstance(v, _Remat):
+            stack.extend((v.held, v.w, v.b, v.value))
         elif callable(v) and getattr(v, "__closure__", None):
             stack.extend(c.cell_contents for c in v.__closure__)
     return found

@@ -1,6 +1,7 @@
 """Engine tests: loop-nest oracles for the spatial ops, finite differences
 for every backward rule, and closed-form optimizer checks."""
 
+import contextlib
 import gc
 import tracemalloc
 import weakref
@@ -20,7 +21,7 @@ from dualrec.fidelity import cmul_const, df_single_t, vs_x_update_t, wab_t
 from dualrec.fourier import fft2_t, ifft2c, ifft2_t
 from dualrec.layers import mse_loss
 from dualrec.masks import make_mask
-from dualrec.networks import DoubleConv, PrnBlock
+from dualrec.networks import DoubleConv, PrnBlock, RsnBlock
 from dualrec.phantoms import gen_coil_maps, load_dataset, make_dataset
 
 SEEDS = list(range(20))
@@ -816,6 +817,180 @@ class TestOwnedGradients:
         # the second and third convs write dx into the gradient they were
         # handed, with no masked copy of a sample
         assert peak <= plain - seed.nbytes, (peak, plain)
+
+
+# --------------------------------------------------------------------------
+# thin convs: the activated output is recomputed in backward, not kept
+# --------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _counted_forwards():
+    """A list that grows by one per stride-1 conv forward in the block."""
+    calls, forward = [], ad._conv_s1_forward
+
+    def spy(*args):
+        calls.append(args[1].shape)
+        return forward(*args)
+
+    ad._conv_s1_forward = spy
+    try:
+        yield calls
+    finally:
+        ad._conv_s1_forward = forward
+
+
+@st.composite
+def thin_cases(draw):
+    """A thin conv (a slope, 4*C <= F) over 1-2 input parts, a stride-1 conv
+    reading its output alone or as a ChannelStack part beside a trainable
+    side input, and a seed, at batch 1-4 in float32 or float64."""
+    chans = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    c = sum(chans)
+    f, f2 = draw(st.integers(4 * c, 4 * c + 2)), draw(st.integers(1, 3))
+    bs, h, w = draw(st.integers(1, 4)), draw(st.integers(3, 6)), draw(st.integers(3, 6))
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    slopes = draw(st.sampled_from((0, 0.2))), draw(st.sampled_from((None, 0, 0.2)))
+    stacked = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def normal(*shape):
+        return rng.normal(size=shape).astype(dtype)
+
+    parts = [normal(bs, ck, h, w) for ck in chans]
+    side = normal(bs, 1, h, w) if stacked else None
+    return (parts, normal(f, c, 3, 3), normal(f), side,
+            normal(f2, f + stacked, 3, 3), normal(f2), slopes, normal(bs, f2, h, w))
+
+
+def _thin_walk(case, keep):
+    """Values and gradients of a thin_cases graph after one walk, and the
+    stride-1 conv forwards the walk ran; with ``keep`` the caller holds the
+    thin conv's output through the walk."""
+    parts, w1, b1, side, w2, b2, (s1, s2), seed = case
+    leaves = [Parameter(a.copy()) for a in parts + [w1, b1, w2, b2]
+              + ([] if side is None else [side])]
+    xs, (p1, q1, p2, q2) = leaves[:len(parts)], leaves[len(parts):len(parts) + 4]
+    y = ad.conv2d(xs[0] if len(xs) == 1 else ad.ChannelStack(xs), p1, q1,
+                  padding=1, slope=s1)
+    value = y.data.copy()
+    z = ad.conv2d(y if side is None else ad.ChannelStack([y, leaves[-1]]), p2, q2,
+                  padding=1, slope=s2)
+    held = y if keep else None
+    del y
+    with _counted_forwards() as calls:
+        z.backward(seed)
+    del held
+    return [value, z.data] + [t.grad for t in leaves], len(calls)
+
+
+def _thin_pair(rng, dtype=np.float64):
+    """A thin conv's leaves (x [2,2,8,8], w1 [16,2,3,3], b1) and the weight
+    w2 [2,16,3,3] of a conv that reads its output."""
+    return [Parameter(rng.normal(size=s).astype(dtype))
+            for s in ((2, 2, 8, 8), (16, 2, 3, 3), (16,), (2, 16, 3, 3))]
+
+
+class TestThinConv:
+    @given(thin_cases())
+    def test_recompute_matches_a_kept_output_bitwise(self, case):
+        got, recomputed = _thin_walk(case, keep=False)
+        want, reread = _thin_walk(case, keep=True)
+        assert (recomputed, reread) == (1, 0)
+        for a, b in zip(got, want):
+            assert _same_bits(a, b)
+
+    @pytest.mark.parametrize("c, f, slope, stride, thin", [
+        (2, 8, 0, 1, True), (1, 4, 0.2, 1, True), (2, 7, 0, 1, False),
+        (2, 8, None, 1, False), (2, 8, 0.2, 2, False)])
+    def test_rule_reads_channel_counts_slope_and_stride(self, c, f, slope, stride, thin):
+        rng = np.random.default_rng(30)
+        x, w = Parameter(rng.normal(size=(1, c, 6, 6))), Parameter(rng.normal(size=(f, c, 3, 3)))
+        y = ad.conv2d(x, w, stride=stride, padding=1, slope=slope)
+        assert (y._node.remat is not None) == thin
+        assert (id(owner(y.data)) in {id(owner(a)) for a in closure_arrays(y._node)}) == (
+            slope is not None and not thin)
+
+    def test_graph_holds_input_and_weights_but_no_output(self):
+        x, w1, b1, w2 = _thin_pair(np.random.default_rng(31), np.float32)
+        y = ad.conv2d(x, w1, b1, padding=1, slope=0)
+        out = weakref.ref(y.data)
+        z = ad.conv2d(y, w2, padding=1)
+        del y
+        assert out() is None
+        leaves = (x.data, w1.data, b1.data, w2.data)
+        assert set(held_owners(z)) == {id(a) for a in leaves}
+        assert held_bytes(z) == sum(a.nbytes for a in leaves)
+
+    def test_one_recompute_for_two_readers_and_none_after_the_walk(self):
+        x, w1, b1, w2 = _thin_pair(np.random.default_rng(32))
+        y = ad.conv2d(x, w1, b1, padding=1, slope=0)
+        node = y._node
+        z = ad.add(ad.conv2d(y, w2, padding=1), ad.conv2d(ad.ChannelStack([y]), w2, padding=1))
+        del y
+        with _counted_forwards() as calls:
+            z.backward(np.ones(z.shape))
+        assert calls == [w1.shape]
+        assert node.remat is None and node._backward is ad._spent
+
+    def test_no_recompute_while_the_caller_or_another_op_holds_the_output(self):
+        leaves = _thin_pair(np.random.default_rng(33))
+        runs = []
+        for keep in (False, True):
+            x, w1, b1, w2 = (Parameter(p.data.copy()) for p in leaves)
+            y = ad.conv2d(x, w1, b1, padding=1, slope=0)
+            z = ad.conv2d(y, w2, padding=1)
+            held = y if keep else None
+            del y
+            with _counted_forwards() as calls:
+                z.backward(np.ones(z.shape))
+            del held
+            runs.append((len(calls), [p.grad for p in (x, w1, b1, w2)]))
+        assert [n for n, _ in runs] == [1, 0]
+        assert all(_same_bits(a, b) for a, b in zip(runs[0][1], runs[1][1]))
+        # square keeps the output until its closure has run, after the conv's
+        x, w1, b1, _ = leaves
+        y = ad.conv2d(x, w1, b1, padding=1, slope=0)
+        w3 = Parameter(np.random.default_rng(37).normal(size=(2, 32, 3, 3)))
+        z = ad.conv2d(ad.ChannelStack([y, ad.square(y)]), w3, padding=1)
+        del y
+        with _counted_forwards() as calls:
+            z.backward(np.ones(z.shape))
+        assert calls == []
+
+    def test_no_remat_state_under_no_grad(self, monkeypatch):
+        made = []
+
+        class Counted(ad._Remat):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(ad, "_Remat", Counted)
+        x, w1, b1, w2 = _thin_pair(np.random.default_rng(34))
+        with ad.no_grad():
+            y = ad.conv2d(x, w1, b1, padding=1, slope=0)
+            z = ad.conv2d(y, w2, padding=1)
+        consts = [Tensor(p.data) for p in (x, w1, b1)]
+        c = ad.conv2d(*consts, padding=1, slope=0)
+        assert y._node is None and z._node is None and c._node is None and not made
+        y = ad.conv2d(x, w1, b1, padding=1, slope=0)
+        assert len(made) == 1 and isinstance(y._node.remat, Counted)
+
+    def test_each_sub_network_recomputes_its_thin_conv_once(self):
+        # KI refinement head 2->8, II UNet first conv 2->8, Fu first conv 6->24
+        block = RsnBlock(16, "fu_with_us", ki_hidden=8, ii_base=8, ii_depth=1,
+                         fu_hidden=24, rng=np.random.default_rng(35))
+        rng = np.random.default_rng(36)
+        img, k = (Tensor(rng.normal(size=(2, 2, 16, 16))) for _ in range(2))
+        loss = ad.sum_all(ad.square(block(img, k)))
+        thin = [(8, 2, 3, 3), (8, 2, 3, 3), (24, 6, 3, 3)]
+        assert sorted(n.remat.w.shape for n in graph_of(loss)
+                      if getattr(n, "remat", None) is not None) == thin
+        with _counted_forwards() as calls:
+            loss.backward()
+        assert sorted(calls) == thin
 
 
 class TestGraphSemantics:

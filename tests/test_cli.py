@@ -11,6 +11,7 @@ from conftest import TINY_SPEC, dataset_kind, spec_dicts
 from dualrec import autodiff as ad
 from dualrec import cascade as cas
 from dualrec.cli import main
+from dualrec.networks import PrnBlock
 from dualrec.phantoms import RtcContainer, load_dataset, make_dataset
 
 
@@ -85,6 +86,18 @@ def golf_dir(tmp_path_factory):
     rec = cas.Reconstructor(spec, cas.build_model(spec, np.random.default_rng(0)),
                             stage1=cas.build_model(cas._base_spec(spec)), golf=golf)
     out = tmp_path_factory.mktemp("cligolf")
+    cas.save_checkpoint(out / "checkpoint.rtc", rec)
+    return out
+
+
+@pytest.fixture(scope="module")
+def prn_dir(tmp_path_factory):
+    """A directory holding an untrained checkpoint with a refiner that fits
+    ds_dir."""
+    spec = cas.CascadeSpec.from_dict(spec_dict())
+    prn = PrnBlock(hidden=4, critic_base=2, rng=np.random.default_rng(1))
+    rec = cas.Reconstructor(spec, cas.build_model(spec, np.random.default_rng(0)), prn=prn)
+    out = tmp_path_factory.mktemp("cliprn")
     cas.save_checkpoint(out / "checkpoint.rtc", rec)
     return out
 
@@ -502,6 +515,33 @@ class TestReconstructCmd:
         else:
             assert code == 2
             assert f"golf meta {key} must be" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    # w_dist above w_adv is reported as a w_adv below it
+    @pytest.mark.parametrize("key, value, named", [
+        (None, None, None), ("w_adv", "x", "w_adv"), ("hidden", 2.5, "hidden"),
+        ("channels", 0, "channels"), ("w_adv", float("nan"), "w_adv"),
+        ("w_dist", -1.0, "w_dist"), ("critic_base", True, "critic_base"),
+        ("w_adv", float("inf"), "w_adv"), ("w_dist", 2.0, "w_adv")],
+        ids=["valid", "w_adv_str", "hidden_float", "channels_0", "w_adv_nan",
+             "w_dist_neg", "critic_base_bool", "w_adv_inf", "w_dist_above_w_adv"])
+    def test_prn_meta_is_checked(self, prn_dir, ds_dir, tmp_path, capsys, key, value,
+                                 named):
+        box = RtcContainer.read(prn_dir / "checkpoint.rtc")
+        info = box.get_json("meta")
+        if key is not None:
+            info["prn"][key] = value
+        del box.entries["meta"]
+        box.add_json("meta", info)
+        bad = tmp_path / "prn.rtc"
+        box.write(bad)
+        code = main(["reconstruct", "--checkpoint", str(bad), "--dataset", str(ds_dir),
+                     "--out", str(tmp_path / "out")])
+        if key is None:
+            assert code == 0
+        else:
+            assert code == 2
+            assert f"prn meta {named} must be" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
     def test_check_without_outputs_is_usage_error(self, run_dir, ds_dir,

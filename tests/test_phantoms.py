@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_ifft2
+from dualrec import cascade as cas
 from dualrec import phantoms as ph
-from dualrec.errors import ConfigError, ContainerError, ParameterError
+from dualrec.errors import ConfigError, ContainerError, DualrecError, ParameterError
 from dualrec.masks import make_cartesian
+from dualrec.networks import PrnBlock
 
 SEEDS = list(range(20))
 
@@ -113,6 +115,34 @@ def rtc_file(tmp_path_factory):
     return path, path.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    """An untrained checkpoint with every group (model, stage-1 model,
+    guidance module and refiner) at the smallest widths: its path and its
+    bytes."""
+    spec = cas.CascadeSpec(family="dc_rsn", n_b=1, mode="fu", size=32, ki_hidden=1,
+                           ii_base=1, ii_depth=1, fu_hidden=1, assists="golf",
+                           golf_feature_depth=1, golf_base=1, golf_depth=1)
+    golf = cas._golf_module(spec)
+    golf.trained = True
+    rec = cas.Reconstructor(spec, cas.build_model(spec), stage1=cas.build_model(
+        cas._base_spec(spec)), golf=golf, prn=PrnBlock(hidden=1, critic_base=1))
+    path = tmp_path_factory.mktemp("ckpt_damage") / "checkpoint.rtc"
+    cas.save_checkpoint(path, rec)
+    return path, path.read_bytes()
+
+
+def _damage(raw, data):
+    """raw truncated, or with 1-3 of its bytes overwritten, as drawn."""
+    raw = bytearray(raw)
+    if data.draw(st.booleans(), label="truncate"):
+        return bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
+    for _ in range(data.draw(st.integers(1, 3), label="n_bytes")):
+        raw[data.draw(st.integers(0, len(raw) - 1), label="at")] = \
+            data.draw(st.integers(0, 255), label="value")
+    return bytes(raw)
+
+
 class TestRtcDamage:
     @settings(max_examples=400)
     @given(data=st.data())
@@ -120,19 +150,34 @@ class TestRtcDamage:
         """A truncation, or 1-3 overwritten bytes, either still reads or
         raises ContainerError from read or get_json; nothing else escapes."""
         path, raw = rtc_file
-        raw = bytearray(raw)
-        if data.draw(st.booleans(), label="truncate"):
-            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
-        else:
-            for _ in range(data.draw(st.integers(1, 3), label="n_bytes")):
-                raw[data.draw(st.integers(0, len(raw) - 1), label="at")] = \
-                    data.draw(st.integers(0, 255), label="value")
         bad = path.with_name("damaged.rtc")
-        bad.write_bytes(bytes(raw))
+        bad.write_bytes(_damage(raw, data))
         try:
             ph.RtcContainer.read(bad).get_json("meta")
         except ContainerError:
             pass
+
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_damaged_checkpoint_loads_finite_or_raises_dualrec_error(
+            self, checkpoint_file, data):
+        """The same damage to a checkpoint either loads, with every weight
+        finite, or raises a DualrecError from load_checkpoint."""
+        path, raw = checkpoint_file
+        # the meta entry comes first: half the draws damage only it
+        meta_end = raw.index(b"}}") + 2
+        bad = path.with_name("damaged.rtc")
+        if data.draw(st.booleans(), label="meta_only"):
+            bad.write_bytes(_damage(raw[:meta_end], data) + raw[meta_end:])
+        else:
+            bad.write_bytes(_damage(raw, data))
+        try:
+            rec = cas.load_checkpoint(bad)
+        except DualrecError:
+            return
+        for part in (rec.model, rec.stage1, rec.golf, rec.prn):
+            for name, p in (() if part is None else part.named_parameters()):
+                assert np.isfinite(p.data).all(), name
 
     @pytest.mark.parametrize("payload", [b"{oops", b"\xff\xfe", None])
     def test_bad_json_entry_raises_container_error(self, payload):
