@@ -57,7 +57,7 @@ What each closure keeps:
   slope, its activated output unless it is thin (below); a strided one (the
   critic) keeps its im2col patch matrix, kh*kw times its input, instead of
   the input;
-* ``conv_transpose2d``/``upconv2x2``: its input;
+* ``conv_transpose2d``/``upconv2x2``: its input, for the weight gradient;
 * ``square``, ``log``: their input; ``exp``, ``sqrt``, ``leaky_relu``: their
   output; ``maxpool2x2``: its uint8 argmax indices;
 * ``add``, ``sub``, ``neg``, ``reshape``, ``transpose``, ``concat``,
@@ -76,8 +76,19 @@ backward takes the array if it is still alive, else recomputes it once,
 through the forward's own ``_conv_s1_forward`` and ``_conv_output``, so the
 bits are the same; the thin conv's node holds it until the conv's own
 closure has run.  The conv keeps its input for its weight gradient anyway,
-so the recompute costs only its small forward.  Under ``no_grad`` there is
-no node and no such state.
+so the recompute costs only its small forward.
+
+The same note, a ``_Remat``, rebuilds two more outputs, so that the
+stride-1 conv that reads one keeps the note instead of the array: an
+up-conv's output (any ``conv_transpose2d`` with a trainable weight), again
+from the input its weight gradient keeps, and a max-pool's output, gathered
+from its input by the kept argmax when the graph keeps that input until
+the pool's walk anyway (an activated conv's kept output, or a noted output
+itself).  A note holds only arrays the graph keeps anyway; where none can
+be made, as for a pool over an input nothing else keeps or an up-conv with
+constant weights, the reader keeps the output.  A rebuilt output lives
+until the walk passes the op that made it.  Under ``no_grad`` there is no
+node and no such state.
 
 A stride-1 ``conv2d`` (every convolution of the reconstruction networks)
 works one sample at a time in forward and both gradients: kh*kw shifted
@@ -103,6 +114,7 @@ when an exception escapes the block.
 
 import contextlib
 import weakref
+from functools import partial
 
 import numpy as np
 
@@ -284,8 +296,8 @@ class _Node:
     """The graph identity of an op output: its parents' nodes and the closure
     that routes its gradient to them.  It holds no data; the closure holds
     the arrays its gradient formula reads, and nothing else.  ``remat`` is
-    the ``_Remat`` of a thin conv's output until the walk passes the node,
-    else None."""
+    the ``_Remat`` of the output, or ``_KEPT`` when the closure keeps the
+    output array itself, until the walk passes the node, else None."""
 
     __slots__ = ("_parents", "_backward", "remat", "__weakref__")
     requires_grad = False
@@ -846,42 +858,49 @@ def _conv_output(y, b, slope):
 
 
 class _Remat:
-    """The activated output of a thin stride-1 conv, which no closure
-    keeps.  The first ``output()`` takes the array if anything still holds
-    it, else recomputes it once from what the conv's closure keeps of its
-    inputs (``held``) and its weights and bias, through the forward's own
-    ``_conv_s1_forward`` and ``_conv_output``.  ``value`` holds it from then
-    until the conv's own closure has read it."""
+    """The rebuild note of an op output that no closure keeps: a weak
+    reference to the output and ``rebuild``, a call of the forward's own
+    helper that computes it again from arrays the graph keeps until the
+    op's own walk anyway.  The first ``output()`` takes the array if
+    anything still holds it, else rebuilds it once.  ``value`` holds it from
+    then until the note is dropped, as the walk passes the op and its
+    readers, or until a closure that reads it last clears it."""
 
-    __slots__ = ("ref", "value", "held", "w", "b", "padding", "slope")
+    __slots__ = ("ref", "value", "rebuild")
 
-    def __init__(self, y, held, w, b, padding, slope):
-        self.ref, self.value = weakref.ref(y), None
-        self.held, self.w, self.b, self.padding, self.slope = held, w, b, padding, slope
+    def __init__(self, y, rebuild):
+        self.ref, self.value, self.rebuild = weakref.ref(y), None, rebuild
 
     def output(self):
         if self.value is None:
             y = self.ref()
-            if y is None:
-                y = _conv_output(_conv_s1_forward(_held_arrays(self.held), self.w,
-                                                  self.padding), self.b, self.slope)
-            self.value = y
+            self.value = self.rebuild() if y is None else y
         return self.value
 
 
+# what _Node.remat holds when the op's closure keeps the output array itself
+_KEPT = "kept"
+
+
 def _kept_input(p):
-    """What a stride-1 conv keeps of its input part p for backward: the
-    _Remat of p when p is the unwalked output of a thin conv, else p's
+    """What an op keeps of its input p to read it in backward: the _Remat
+    of p when p is the unwalked output of an op that has one, else p's
     array."""
     remat = getattr(_node_of(p), "remat", None)
-    if remat is not None and remat.ref() is p.data:
+    if isinstance(remat, _Remat) and remat.ref() is p.data:
         return remat
     return p.data
 
 
-def _held_arrays(held):
-    """The input arrays of what _kept_input kept."""
-    return [h.output() if isinstance(h, _Remat) else h for h in held]
+def _held_array(h):
+    """The array of what _kept_input kept."""
+    return h.output() if isinstance(h, _Remat) else h
+
+
+def _conv_s1_output(held, w, padding, b, slope):
+    """A stride-1 conv's output from its input arrays, or from what
+    _kept_input kept of them."""
+    return _conv_output(_conv_s1_forward([_held_array(h) for h in held], w, padding), b, slope)
 
 
 def _im2col(x, kh, kw, stride, padding):
@@ -964,12 +983,12 @@ def conv2d(x, w, b=None, stride=1, padding=0, slope=None):
 
     wd, bd = w.data, None if b is None else b.data
     if stride == 1:
-        y = _conv_output(_conv_s1_forward([p.data for p in parts], wd, padding), bd, slope)
+        y = _conv_s1_output([p.data for p in parts], wd, padding, bd, slope)
         held = [_kept_input(p) for p in parts]
 
         def grads(g, s, need_dx, spare, out):
-            return _conv_s1_backward(g, _held_arrays(held), wd, padding, out, s, need_dx,
-                                     nb is not None, spare)
+            xs = [_held_array(h) for h in held]
+            return _conv_s1_backward(g, xs, wd, padding, out, s, need_dx, nb is not None, spare)
     else:
         x_shape = x.shape
         cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
@@ -1011,8 +1030,11 @@ def conv2d(x, w, b=None, stride=1, padding=0, slope=None):
 
     parents = parts + ((w,) if b is None else (w, b))
     result = _make(y, parents, backward)
-    if thin and result._node is not None:
-        kept = result._node.remat = _Remat(y, held, wd, bd, padding, slope)
+    if result._node is not None and thin:
+        kept = result._node.remat = _Remat(
+            y, partial(_conv_s1_output, held, wd, padding, bd, slope))
+    elif result._node is not None and kept is not None:
+        result._node.remat = _KEPT
     return result
 
 
@@ -1047,9 +1069,8 @@ def conv_transpose2d(x, w, b=None, stride=1, padding=0, output_size=None):
     x_shape = x.shape
     x_data = x.data if nw is not None else None     # dw reads the input
     w_sw = w.data.transpose(1, 0, 2, 3)  # [C,F,kh,kw]
-    y = _conv_dx_raw(x.data, w_sw, (bsz, f, ho, wo), stride, padding, h, wdt)
-    if b is not None:
-        y = y + b.data.reshape(1, f, 1, 1)
+    args = (x.data, w_sw, (bsz, f, ho, wo), stride, padding, None if b is None else b.data)
+    y = _conv_transpose_output(*args)
 
     def backward(g, flow):
         cols, gho, gwo = _im2col(g, kh, kw, stride, padding)
@@ -1064,7 +1085,17 @@ def conv_transpose2d(x, w, b=None, stride=1, padding=0, output_size=None):
             _flow_add(flow, nb, g.sum(axis=(0, 2, 3)))
 
     parents = (x, w) if b is None else (x, w, b)
-    return _make(y, parents, backward)
+    result = _make(y, parents, backward)
+    if result._node is not None and nw is not None and (b is None or nb is not None):
+        # x_data is kept, and the graph holds the bias: rebuild from them
+        result._node.remat = _Remat(y, partial(_conv_transpose_output, *args))
+    return result
+
+
+def _conv_transpose_output(x, w_sw, y_shape, stride, padding, b):
+    """conv_transpose2d's output from its input and [C,F,kh,kw] weights."""
+    y = _conv_dx_raw(x, w_sw, y_shape, stride, padding, x.shape[2], x.shape[3])
+    return y if b is None else y + b.reshape(1, -1, 1, 1)
 
 
 def upconv2x2(x, w, b=None):
@@ -1079,29 +1110,68 @@ def upconv2x2(x, w, b=None):
     return conv_transpose2d(x, w_t, b, stride=2, padding=0)
 
 
+def _pool_views(x):
+    """The four [B,C,H/2,W/2] strided views of x's 2x2 windows, in the
+    windows' row-major order."""
+    return [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+
+
+def _maxpool_forward(x):
+    """(max, uint8 index of the first max) of each 2x2 window of x, as
+    argmax finds them: a NaN is the max, and the first NaN is taken."""
+    v = _pool_views(x)
+    # on a tie of -0 and +0 np.maximum returns its second operand: the
+    # earlier element goes second, so the first of equal elements wins
+    out = np.maximum(np.maximum(v[3], v[2]), np.maximum(v[1], v[0]))
+    hit = [v[k] == out for k in range(3)]
+    idx = (~hit[0]).view(np.uint8)     # the number of misses before the first hit
+    for k in (1, 2):
+        hit[0] |= hit[k]
+        idx += ~hit[0]
+    nan = np.isnan(out)
+    if nan.any():   # NaN windows: no hit; take their first NaN, bits and all
+        w = np.stack(v, axis=-1)[nan]
+        first = w.argmax(axis=-1)
+        idx[nan], out[nan] = first, w[np.arange(len(first)), first]
+    return out, idx
+
+
 def maxpool2x2(x):
     """Non-overlapping 2x2 max pooling; ties resolved to the first element in
-    row-major order.  H and W must be even."""
+    row-major order, and a NaN is the max.  H and W must be even.
+
+    The output gets a ``_Remat`` when the graph keeps the input until the
+    pool's walk anyway (the input is an activated conv's kept output, or has
+    a ``_Remat`` itself), so a stride-1 conv that reads the output keeps
+    the note, and the output is gathered again from the input by the kept
+    index if it is gone by then."""
     x = _as_tensor(x)
     if x.ndim != 4:
         raise DimensionError("maxpool2x2 expects x[B,C,H,W]")
     b, c, h, w = x.shape
     if h % 2 or w % 2:
         raise DimensionError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    win = x.data.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = win.reshape(b, c, h // 2, w // 2, 4)
-    # argmax returns the first max: row-major tie rule
-    idx = flat.argmax(axis=-1)[..., None].astype(np.uint8)
-    out = np.take_along_axis(flat, idx, axis=-1)[..., 0]
+    out, idx = _maxpool_forward(x.data)
     nx, dtype = _node_of(x), x.dtype
 
     def backward(g, flow):
         gf = np.zeros((b, c, h // 2, w // 2, 4), dtype=dtype)
-        np.put_along_axis(gf, idx, g[..., None], axis=-1)
+        np.put_along_axis(gf, idx[..., None], g[..., None], axis=-1)
         gx = gf.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
         _flow_add(flow, nx, gx)
 
-    return _make(out, (x,), backward)
+    result = _make(out, (x,), backward)
+    src = _kept_input(x)
+    if result._node is not None and (
+            isinstance(src, _Remat) or getattr(nx, "remat", None) is _KEPT):
+        result._node.remat = _Remat(out, partial(_pool_gather, idx, src))
+    return result
+
+
+def _pool_gather(idx, src):
+    """maxpool2x2's output, gathered by its index from its input or from
+    what _kept_input kept of it."""
+    return np.choose(idx, _pool_views(_held_array(src)))
 
 
 # -- optimizers ---------------------------------------------------------

@@ -222,9 +222,11 @@ class DcRsn(Module):
             us_k = us_k[None]
         k_t = Tensor(complex_to_channels_array(us_k))
         for block in self._blocks:
+            if k_t is None:     # the spectrum of the last block's output
+                k_t = fft2_t(m)
             r = block(m, k_t, t1=t1, golf=golf)
             m = df_single_t(r, us_k, mask, self.lam)
-            k_t = fft2_t(m)
+            k_t = None      # made only when another block follows
         return m
 
 

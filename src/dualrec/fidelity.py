@@ -34,7 +34,11 @@ from .fourier import ComplexGrid, complex_to_channels_array, fft2_t, fft2c, ifft
 
 @dataclass
 class SensitivitySet:
-    """Per-coil complex sensitivity maps, all image-domain, all same shape."""
+    """Per-coil complex sensitivity maps, all image-domain, all same shape.
+
+    The maps are stacked once, at construction, into one read-only complex
+    [n_c,H,W] array, which ``stacked()`` returns; the maps become views of
+    it, so no map is held twice."""
 
     maps: list
     normalized: bool = False
@@ -48,6 +52,9 @@ class SensitivitySet:
                 raise ParameterError("sensitivity maps live in the image domain")
             if m.shape != shape:
                 raise DimensionError("sensitivity maps must share dims")
+        self._stack = np.stack([m.z for m in self.maps], axis=0)
+        self._stack.flags.writeable = False
+        self.maps = [ComplexGrid(z.real, z.imag, "image") for z in self._stack]
         if self.normalized:
             total = self.support_profile()
             support = total > 1e-12
@@ -66,7 +73,7 @@ class SensitivitySet:
         return sum(np.abs(m.z) ** 2 for m in self.maps)
 
     def stacked(self):
-        return np.stack([m.z for m in self.maps], axis=0)
+        return self._stack
 
 
 class FidelityWeights:

@@ -82,6 +82,9 @@ RUNS = {
     "thin_golf": ("single", dict(_THIN, assists="golf", golf_base=4)),
     "thin_prn": ("single", dict(_THIN, epochs=2, prn={"hidden": 8, "critic_base": 2,
                                                       "critic_steps": 2, "epochs": 2})),
+    # a two-level II UNet: a rebuilt max-pool output feeds the second
+    # encoder level, and both up-conv outputs are rebuilt
+    "deep_unet": ("single", dict(ii_depth=2)),
 }
 
 # kind -> make_dataset arguments after kind, n and size

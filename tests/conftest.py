@@ -6,6 +6,8 @@ package itself never imports it.  The centered orthonormal convention is
 realized with explicit index shifts.
 """
 
+import functools
+
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -135,7 +137,8 @@ def op_name(node):
 def closure_arrays(node):
     """The arrays a node's backward closure holds, also inside lists and
     tuples, those of the closures it holds (conv2d's ``grads``) and those a
-    thin conv's ``_Remat`` holds strongly."""
+    ``_Remat`` it holds keeps strongly: its value and the arguments of its
+    rebuild call."""
     found, stack = [], [node._backward]
     while stack:
         v = stack.pop()
@@ -144,7 +147,9 @@ def closure_arrays(node):
         elif isinstance(v, (list, tuple)):
             stack.extend(v)
         elif isinstance(v, _Remat):
-            stack.extend((v.held, v.w, v.b, v.value))
+            stack.extend((v.rebuild, v.value))
+        elif isinstance(v, functools.partial):
+            stack.extend(v.args)
         elif callable(v) and getattr(v, "__closure__", None):
             stack.extend(c.cell_contents for c in v.__closure__)
     return found

@@ -21,7 +21,7 @@ from dualrec.fidelity import cmul_const, df_single_t, vs_x_update_t, wab_t
 from dualrec.fourier import fft2_t, ifft2c, ifft2_t
 from dualrec.layers import mse_loss
 from dualrec.masks import make_mask
-from dualrec.networks import DoubleConv, PrnBlock, RsnBlock
+from dualrec.networks import DoubleConv, PrnBlock, RsnBlock, UNet
 from dualrec.phantoms import gen_coil_maps, load_dataset, make_dataset
 
 SEEDS = list(range(20))
@@ -906,7 +906,8 @@ class TestThinConv:
         rng = np.random.default_rng(30)
         x, w = Parameter(rng.normal(size=(1, c, 6, 6))), Parameter(rng.normal(size=(f, c, 3, 3)))
         y = ad.conv2d(x, w, stride=stride, padding=1, slope=slope)
-        assert (y._node.remat is not None) == thin
+        assert isinstance(y._node.remat, ad._Remat) == thin
+        assert (y._node.remat is ad._KEPT) == (slope is not None and not thin)
         assert (id(owner(y.data)) in {id(owner(a)) for a in closure_arrays(y._node)}) == (
             slope is not None and not thin)
 
@@ -979,18 +980,233 @@ class TestThinConv:
         assert len(made) == 1 and isinstance(y._node.remat, Counted)
 
     def test_each_sub_network_recomputes_its_thin_conv_once(self):
-        # KI refinement head 2->8, II UNet first conv 2->8, Fu first conv 6->24
+        # KI refinement head 2->8, II UNet first conv 2->8, Fu first conv 6->24;
+        # the UNet's max-pool and up-conv outputs are rebuilt too
         block = RsnBlock(16, "fu_with_us", ki_hidden=8, ii_base=8, ii_depth=1,
                          fu_hidden=24, rng=np.random.default_rng(35))
         rng = np.random.default_rng(36)
         img, k = (Tensor(rng.normal(size=(2, 2, 16, 16))) for _ in range(2))
         loss = ad.sum_all(ad.square(block(img, k)))
         thin = [(8, 2, 3, 3), (8, 2, 3, 3), (24, 6, 3, 3)]
-        assert sorted(n.remat.w.shape for n in graph_of(loss)
-                      if getattr(n, "remat", None) is not None) == thin
+        notes = _noted(loss)
+        assert sorted(op_name(n) for n in notes) == _OPS
+        # a conv node's parents are its input, weight and bias
+        assert sorted(n._parents[-2].shape for n in notes if op_name(n) == "conv2d") == thin
+        rebuilt = _counted_rebuilds(notes)
         with _counted_forwards() as calls:
             loss.backward()
-        assert sorted(calls) == thin
+        assert sorted(calls) == thin and sorted(rebuilt) == _OPS
+
+
+# --------------------------------------------------------------------------
+# max-pool and up-conv outputs: rebuilt in backward, not kept
+# --------------------------------------------------------------------------
+
+_OPS = ["conv2d"] * 3 + ["conv_transpose2d", "maxpool2x2"]
+
+
+def _noted(root):
+    """The nodes of root's graph that carry a _Remat."""
+    return [n for n in graph_of(root) if isinstance(getattr(n, "remat", None), ad._Remat)]
+
+
+def _counted_rebuilds(nodes):
+    """A list that grows by the op name of each node whose _Remat rebuilds
+    its output."""
+    rebuilt = []
+    for n in nodes:
+        def rebuild(name=op_name(n), inner=n.remat.rebuild):
+            rebuilt.append(name)
+            return inner()
+        n.remat.rebuild = rebuild
+    return rebuilt
+
+
+def _argmax_pool(x):
+    """The argmax reference of maxpool2x2: (value, uint8 index) of each
+    window's first max, a NaN counting as the max."""
+    b, c, h, w = x.shape
+    flat = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    flat = flat.reshape(b, c, h // 2, w // 2, 4)
+    idx = flat.argmax(axis=-1)[..., None]
+    return np.take_along_axis(flat, idx, axis=-1)[..., 0], idx[..., 0].astype(np.uint8)
+
+
+def _nans(dtype):
+    """NaNs of several signs and payloads."""
+    bits = ([0x7FC00000, 0xFFC00000, 0x7FC00001, 0x7F800001] if dtype == np.float32 else
+            [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001])
+    return np.array(bits, np.uint32 if dtype == np.float32 else np.uint64).view(dtype)
+
+
+@st.composite
+def pool_inputs(draw):
+    """[B,C,2H,2W] arrays in float32 or float64 drawn from a few values, so
+    windows tie, mix -0 and +0, and hold NaNs of several payloads."""
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+             2 * draw(st.integers(1, 3)), 2 * draw(st.integers(1, 3)))
+    pool = np.concatenate([np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf], dtype),
+                           _nans(dtype)])
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=int(np.prod(shape)),
+                          max_size=int(np.prod(shape))))
+    return pool[picks].reshape(shape)
+
+
+@contextlib.contextmanager
+def _holding(held):
+    """Within the block, every max-pool and up-conv output is appended to
+    the list ``held``, which holds it, unless held is None."""
+    pool, upconv = ad.maxpool2x2, ad.upconv2x2
+    if held is not None:
+        ad.maxpool2x2 = lambda *a: held.append(pool(*a)) or held[-1]
+        ad.upconv2x2 = lambda *a: held.append(upconv(*a)) or held[-1]
+    try:
+        yield
+    finally:
+        ad.maxpool2x2, ad.upconv2x2 = pool, upconv
+
+
+def _unet_step(dtype, bs, seed, hold=False):
+    """The loss and gradients of one training step of a depth-2 UNet (base
+    4) on a [bs,2,8,8] input, the node of each max-pool and up-conv output,
+    and the op names of the rebuilds.  With ``hold`` the caller holds those
+    outputs through the walk, so none is rebuilt."""
+    rng = np.random.default_rng(seed)
+    net = UNet(2, 2, base=4, depth=2, rng=np.random.default_rng(seed)).astype(dtype)
+    x = Parameter(rng.normal(size=(bs, 2, 8, 8)).astype(dtype))
+    held = []
+    with _holding(held if hold else None):
+        loss = ad.sum_all(ad.square(net(x)))
+    nodes = [n for n in graph_of(loss) if op_name(n) in ("maxpool2x2", "conv_transpose2d")]
+    rebuilt = _counted_rebuilds(nodes)
+    loss.backward()
+    del held
+    return [loss.data, x.grad] + [p.grad for p in net.parameters()], nodes, rebuilt
+
+
+class TestRebuiltOutputs:
+    @given(pool_inputs())
+    def test_maxpool_value_and_index_match_the_argmax_reference(self, x):
+        out, idx = ad._maxpool_forward(x)
+        want, want_idx = _argmax_pool(x)
+        assert _same_bits(out, want) and _same_bits(idx, want_idx)
+        assert _same_bits(np.choose(idx, ad._pool_views(x)), want)
+
+    def test_outputs_are_dead_before_backward(self):
+        net = UNet(2, 2, base=4, depth=2, rng=np.random.default_rng(40))
+        loss = ad.sum_all(ad.square(net(Tensor(np.random.default_rng(41).normal(
+            size=(2, 2, 8, 8))))))
+        notes = [n.remat for n in _noted(loss) if op_name(n) != "conv2d"]
+        assert len(notes) == 4 and all(r.ref() is None and r.value is None for r in notes)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bs", [1, 3])
+    def test_gradients_match_a_walk_that_rebuilds_nothing_bitwise(self, dtype, bs):
+        got, nodes, rebuilt = _unet_step(dtype, bs, 42 + bs)
+        want, _, kept = _unet_step(dtype, bs, 42 + bs, hold=True)
+        assert kept == [] and all(_same_bits(a, b) for a, b in zip(got, want))
+        # each output is rebuilt once, and no note outlives the walk
+        assert sorted(rebuilt) == ["conv_transpose2d"] * 2 + ["maxpool2x2"] * 2
+        assert all(n.remat is None for n in nodes)
+
+    def test_one_rebuild_for_two_readers(self):
+        rng = np.random.default_rng(43)
+        x, x2, w1, wu, w2 = (Parameter(rng.normal(size=s)) for s in
+                             ((2, 4, 8, 8), (2, 4, 4, 4), (4, 4, 3, 3), (4, 4, 2, 2), (3, 4, 3, 3)))
+        p = ad.maxpool2x2(ad.conv2d(x, w1, padding=1, slope=0))
+        u = ad.upconv2x2(x2, wu)
+
+        def two_readers(t):
+            return ad.add(ad.conv2d(t, w2, padding=1),
+                          ad.conv2d(ad.ChannelStack([t]), w2, padding=1))
+
+        z = ad.add(two_readers(p), ad.maxpool2x2(two_readers(u)))
+        del p, u
+        nodes = _noted(z)
+        rebuilt = _counted_rebuilds(nodes)
+        z.backward(np.ones(z.shape))
+        assert sorted(rebuilt) == ["conv_transpose2d", "maxpool2x2"]
+        assert all(n.remat is None for n in nodes)
+
+    def test_pool_of_a_thin_conv_output_rebuilds_both(self):
+        runs = []
+        for hold in (False, True):
+            rng = np.random.default_rng(44)
+            x, w1, b1, w2 = (Parameter(rng.normal(size=s)) for s in
+                             ((2, 2, 8, 8), (8, 2, 3, 3), (8,), (3, 8, 3, 3)))
+            y = ad.conv2d(x, w1, b1, padding=1, slope=0)
+            p = ad.maxpool2x2(y)
+            assert isinstance(p._node.remat, ad._Remat)
+            z = ad.conv2d(p, w2, padding=1, slope=0.2)
+            held = (y, p) if hold else None
+            del y, p
+            rebuilt = _counted_rebuilds(_noted(z))
+            with _counted_forwards() as calls:
+                z.backward(np.ones(z.shape))
+            del held
+            runs.append(([p.grad for p in (x, w1, b1, w2)], sorted(rebuilt), calls))
+        assert runs[0][1:] == (["conv2d", "maxpool2x2"], [w1.shape])
+        assert runs[1][1:] == ([], [])
+        assert all(_same_bits(a, b) for a, b in zip(runs[0][0], runs[1][0]))
+
+    def test_outputs_kept_where_the_graph_keeps_no_input(self):
+        rng = np.random.default_rng(45)
+        x, w1, w2 = (Parameter(rng.normal(size=s)) for s in
+                     ((2, 4, 8, 8), (4, 4, 3, 3), (3, 4, 3, 3)))
+        wc = Tensor(rng.normal(size=(4, 4, 2, 2)))
+        # a pool over a leaf, a pool over a linear conv's output, and an
+        # up-conv with constant weights: no note, and the graph holds what it
+        # held before notes: the leaves, the output in its reader, the pool's
+        # index or the up-conv's weights for dx, but not the input
+        for make, extra in ((lambda t: ad.maxpool2x2(x), []),
+                            (lambda t: ad.maxpool2x2(t), [w1.data]),
+                            (lambda t: ad.upconv2x2(t, wc), [w1.data, wc.data])):
+            y = ad.conv2d(x, w1, padding=1)
+            dead = weakref.ref(y.data)
+            out = make(y)
+            z = ad.conv2d(out, w2, padding=1)
+            del y
+            assert out._node.remat is None and dead() is None
+            producer = [a for a in closure_arrays(out._node) if a.dtype == np.uint8]
+            want = {id(owner(a)) for a in [x.data, w2.data, out.data] + extra + producer}
+            assert set(held_owners(z)) == want
+
+    def test_no_note_under_no_grad(self, monkeypatch):
+        made = []
+
+        class Counted(ad._Remat):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(ad, "_Remat", Counted)
+        net = UNet(2, 2, base=8, depth=2, rng=np.random.default_rng(46))
+        x = Parameter(np.random.default_rng(47).normal(size=(1, 2, 8, 8)))
+        with ad.no_grad():
+            out = net(x)
+        assert out._node is None and not made
+        net(x)
+        assert len(made) == 1 + 2 + 2     # the thin first conv, two pools, two up-convs
+
+    def test_unet_step_peak_falls_by_its_pool_and_upconv_outputs(self):
+        rng = np.random.default_rng(48)
+        net = UNet(2, 2, base=16, depth=2, rng=np.random.default_rng(49)).astype(np.float32)
+        x = Tensor(rng.normal(size=(2, 2, 32, 32)).astype(np.float32))
+        held = []
+
+        def step(hold):
+            with _holding(held if hold else None):
+                loss = ad.sum_all(ad.square(net(x)))
+            loss.backward()
+
+        step(False)     # the first step warms the allocator
+        plain = _peak(lambda: step(False))
+        holding = _peak(lambda: step(True))
+        outputs = sum(t.data.nbytes for t in held)
+        assert outputs > 0 and plain < holding - outputs // 2
 
 
 class TestGraphSemantics:

@@ -16,7 +16,7 @@ from dualrec.autodiff import Tensor
 from dualrec.errors import (ConfigError, ContainerError, DimensionError,
                             ParameterError, StateError, TrainAbortError)
 from dualrec.fidelity import FidelityWeights, SensitivitySet
-from dualrec.fourier import ComplexGrid, fft2c, ifft2c
+from dualrec.fourier import ComplexGrid, fft2_t, fft2c, ifft2c
 from dualrec.layers import Module, kaiming_uniform
 from dualrec.masks import SamplingMask, apply_mask, make_mask
 from dualrec.networks import FuNet, GolfModule, PrnBlock
@@ -216,6 +216,17 @@ class TestDcRsnForward:
         b = rep3.model.reconstruct(s, ds_single.mask)
         assert np.abs(a - b).max() > 1e-6
 
+    @pytest.mark.parametrize("n_b", [1, 3])
+    def test_one_spectrum_per_block_after_the_first(self, n_b, monkeypatch):
+        # the first block reads the measured spectrum, and the last block's
+        # output needs no spectrum of its own
+        calls = []
+        monkeypatch.setattr(cas, "fft2_t", lambda m: calls.append(m) or fft2_t(m))
+        target, mask, us_k, zf = sim_single(5)
+        model = cas.build_model(small_spec(n_b=n_b), np.random.default_rng(0))
+        model(Tensor(chan(zf)[None]), us_k[None], mask)
+        assert len(calls) == n_b - 1
+
     def test_unexpected_t1_rejected(self):
         target, mask, us_k, zf = sim_single(6)
         model = cas.build_model(small_spec(), np.random.default_rng(0))
@@ -272,7 +283,6 @@ class TestVsRsnForward:
                 p.data = p.data + nz.normal(scale=0.05, size=p.shape)
         got = model(us_k[None][None], sens, mask).data[0]
 
-        from dualrec.fourier import fft2_t
         m0 = Tensor(chan(zf)[None])
         u = model.block0(m0, fft2_t(m0)).data[0]
         u_z = u[0] + 1j * u[1]

@@ -231,6 +231,17 @@ class TestSensOps:
             want += np.conj(s_i.z) * oracle_ifft2(np.where(mask.bits, y_i.z, 0.0))
         assert np.max(np.abs(out.z - want)) < 1e-10
 
+    def test_maps_are_views_of_one_read_only_stack(self):
+        rng = np.random.default_rng(7)
+        raw = [random_complex(rng, (8, 8)) for _ in range(3)]
+        sens = fid.SensitivitySet([ComplexGrid.from_complex(z, "image") for z in raw])
+        stack = sens.stacked()
+        assert stack is sens.stacked() and not stack.flags.writeable
+        assert np.array_equal(stack, np.stack(raw))
+        for k, m in enumerate(sens.maps):   # built with the set: no map is held twice
+            assert np.shares_memory(m.re, stack[k]) and np.shares_memory(m.im, stack[k])
+            assert np.array_equal(m.z, raw[k])
+
     def test_expand_identity_and_round_trip(self):
         rng = np.random.default_rng(6)
         m = _grid(rng, 8, 8)
